@@ -1,8 +1,12 @@
-"""Bias potential representations: RBF-parametric and non-parametric grid form."""
+"""Bias potential representations: RBF-parametric and non-parametric grid form.
+
+Both forms expose the same parameter interface: `params` is the trainable
+vector (RBF weights or grid node values) and `with_params` builds the same
+potential with new values, so training and averaging treat them alike.
+"""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +55,14 @@ class RbfBias:
     def weight_gradient(self, r):
         return self.features(r)
 
-    def with_weights(self, weights) -> "RbfBias":
-        return RbfBias(np.asarray(weights, dtype=float), self.centers, self.kappa)
+    @property
+    def params(self) -> np.ndarray:
+        return self.weights
+
+    def with_params(self, params) -> "RbfBias":
+        return RbfBias(np.asarray(params, dtype=float), self.centers, self.kappa)
+
+    with_weights = with_params  # the RBF-specific name of the same constructor
 
 
 @dataclass(frozen=True)
@@ -73,22 +83,12 @@ class GridBias:
     def zero(cls, lo: float, hi: float, h: float) -> "GridBias":
         return cls(GridFunction.zeros(lo, hi, h))
 
-    def updated(self, direction: GridFunction, step: float) -> "GridBias":
-        """New bias with node values moved by -step * direction."""
-        if not self.grid.same_domain(direction):
-            raise ValueError("direction grid does not match the bias grid")
-        return GridBias(self.grid.with_values(self.grid.values - step * direction.values))
+    @property
+    def params(self) -> np.ndarray:
+        return self.grid.values
+
+    def with_params(self, params) -> "GridBias":
+        return GridBias(self.grid.with_values(params))
 
 
 BiasPotential = RbfBias | GridBias
-
-
-def save_bias_csv(bias: BiasPotential, grid: GridFunction, path) -> None:
-    """Tabulate the bias on the working grid and write (r, V(r)) rows."""
-    xs = grid.xs
-    vals = np.asarray(bias(xs), dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "V"])
-        for x, v in zip(xs, vals):
-            w.writerow([format(x, ".17g"), format(v, ".17g")])

@@ -8,9 +8,9 @@ trapezoid integration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,9 +177,12 @@ class GridFunction:
         n = round((hi - lo) / h) + 1
         return cls(lo, hi, h, np.zeros(n))
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, len(self.values))
+        """Grid nodes, built once per object (every bias evaluation interpolates on them)."""
+        xs = np.linspace(self.lo, self.hi, len(self.values))
+        xs.flags.writeable = False
+        return xs
 
     def same_domain(self, other: "GridFunction") -> bool:
         return (
@@ -201,13 +204,6 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))
-
-    def to_csv(self, path, header=("r", "value")) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for x, v in zip(self.xs, self.values):
-                w.writerow([format(x, ".17g"), format(v, ".17g")])
 
 
 def grid_integral(g: GridFunction, a: float, b: float) -> float:

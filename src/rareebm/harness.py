@@ -25,7 +25,7 @@ from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability
-from rareebm.ksd import KsdTestConfig, SteinKernelConfig
+from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import BiasedTarget, ChainConfig, Pcn, RandomWalk, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
     ContaminationSpec,
@@ -46,11 +46,12 @@ from rareebm.train import (
 )
 
 # ---------------------------------------------------------------------------
-# Configuration schema
+# Configuration schema. A tuple lists the allowed values of an enumerated
+# key, its default first.
 
 _SCHEMA: dict[str, dict[str, Any]] = {
     "problem": {
-        "name": "contamination",  # contamination | four_branch | load_capacity
+        "name": ("contamination", "four_branch", "load_capacity"),
         "seed": 2024,  # data-realization seed (contamination)
         "n_components": 10,  # capacity components (load_capacity)
     },
@@ -58,27 +59,27 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "thresholds": [20.0],
     },
     "method": {
-        "kind": "ebm",  # ebm | subset
+        "kind": ("ebm", "subset"),
         # --- ebm ---
-        "form": "grid",  # grid | rbf
+        "form": ("grid", "rbf"),
         "grid": {"lo": -80.0, "hi": 120.0, "h": 0.1},
         "rbf": {"n_centers": 500, "kappa": 1.0, "lo": -80.0, "hi": 120.0},
-        "p_ref": {"kind": "gaussian", "mean": 20.0, "sd": 7.0, "loc": 0.0, "scale": 1.0, "shape": 0.0},
-        "learning_rate": {"kind": "constant", "gamma": 15.0, "factor": 0.0},
+        "p_ref": {"kind": ("gaussian", "gev"), "mean": 20.0, "sd": 7.0, "loc": 0.0, "scale": 1.0, "shape": 0.0},
+        "learning_rate": {"kind": ("constant", "exp_decay"), "gamma": 15.0, "factor": 0.0},
         "momentum": 0.5,
         "max_steps": 500,
         "estimate_window": 10,  # average over the last N iterations
-        "estimate_average": "probability",  # probability | potential (what the window averages)
+        "estimate_average": ("probability", "potential"),  # what the window averages
         "grad_clip": 0.0,  # componentwise gradient cap; 0 disables
         "kde_bandwidth": 0.0,  # fixed KDE bandwidth; 0 selects data-driven
         "chain": {"burn_in": 100, "thin": 10, "n_keep": 125},
-        "proposal": {"kind": "random_walk", "beta": 0.0, "pilot_steps": 2000, "target_accept": 0.30},
+        "proposal": {"kind": ("random_walk", "pcn", "default"), "beta": 0.0, "pilot_steps": 2000, "target_accept": 0.30},
         "stopping": {"enabled": True, "alpha": 0.95, "a_bs": 0.4, "n_boot": 1000, "min_steps": 5},
         # --- subset ---
         "subset": {
             "n_samples": 100,
             "mh_steps_per_seed": 5,
-            "schedule": {"kind": "adaptive", "p0": 0.1, "start": 5.0, "n_levels": 10},
+            "schedule": {"kind": ("adaptive", "fixed_log"), "p0": 0.1, "start": 5.0, "n_levels": 10},
             "posterior_burn_in": 100,
             "posterior_thin": 500,
         },
@@ -102,6 +103,10 @@ def _merge(schema: dict, user: dict, path: str) -> dict:
             raise ConfigurationError(f"config section '{path}{key}' must be an object")
         if isinstance(default, dict):
             out[key] = _merge(default, user.get(key, {}), f"{path}{key}.")
+        elif isinstance(default, tuple):
+            out[key] = user.get(key, default[0])
+            if out[key] not in default:
+                raise ConfigurationError(f"{path}{key} must be one of {list(default)}, got {out[key]!r}")
         else:
             out[key] = user.get(key, default)
     unknown = set(user) - set(schema)
@@ -111,7 +116,11 @@ def _merge(schema: dict, user: dict, path: str) -> dict:
 
 
 def load_config(source) -> dict:
-    """Validate a config mapping or JSON file against the schema with defaults."""
+    """Validate a config mapping or JSON file against the schema with defaults.
+
+    The method's objects are built here as each replicate builds them, so
+    out-of-range settings fail at load.
+    """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             user = json.load(fh)
@@ -122,14 +131,15 @@ def load_config(source) -> dict:
         raise ConfigurationError("runs.n_runs must be >= 1")
     if not cfg["query"]["thresholds"]:
         raise ConfigurationError("query.thresholds must be non-empty")
-    g = cfg["method"]["grid"]
+    mcfg = cfg["method"]
+    g = mcfg["grid"]
     for t in cfg["query"]["thresholds"]:
-        if cfg["method"]["kind"] == "ebm" and not (g["lo"] <= t <= g["hi"]):
+        if mcfg["kind"] == "ebm" and not (g["lo"] <= t <= g["hi"]):
             raise ConfigurationError(f"grid does not cover query threshold {t}")
-    if cfg["method"]["kind"] not in ("ebm", "subset"):
-        raise ConfigurationError("method.kind must be 'ebm' or 'subset'")
-    if cfg["method"]["estimate_average"] not in ("probability", "potential"):
-        raise ConfigurationError("method.estimate_average must be 'probability' or 'potential'")
+    try:
+        _subset_config(mcfg) if mcfg["kind"] == "subset" else _ebm_setup(mcfg)
+    except (TypeError, ValueError) as exc:  # dataclass validators raise ValueError
+        raise ConfigurationError(f"invalid method settings: {exc}") from exc
     return cfg
 
 
@@ -139,7 +149,7 @@ def load_config(source) -> dict:
 @dataclass
 class ProblemBundle:
     problem: TargetProblem
-    oracle: Optional[Any]  # callable threshold -> truth, when available
+    oracle: Optional[Any]  # callable threshold -> truth (None where it does not apply)
     rw_groups: Optional[list] = None
     rw_init_steps: Optional[np.ndarray] = None
     default_proposal: str = "random_walk"
@@ -162,10 +172,10 @@ def build_problem(pcfg: dict) -> ProblemBundle:
         return ProblemBundle(problem=four_branch_problem(), oracle=None, rw_init_steps=np.ones(2))
     if name == "load_capacity":
         lp = load_capacity_problem(LoadCapacitySpec(n_components=pcfg["n_components"]))
-        # Failure is defined at threshold 0; the oracle ignores other values.
+        # Failure is defined at threshold 0; there is no truth for other values.
         return ProblemBundle(
             problem=lp.problem,
-            oracle=lambda t: lp.oracle_failure_probability(),
+            oracle=lambda t: lp.oracle_failure_probability() if t == 0.0 else None,
             default_proposal="pcn",
         )
     raise ConfigurationError(f"unknown problem '{name}'")
@@ -174,17 +184,58 @@ def build_problem(pcfg: dict) -> ProblemBundle:
 def _build_p_ref(d: dict):
     if d["kind"] == "gaussian":
         return Gaussian(mean=d["mean"], sd=d["sd"])
-    if d["kind"] == "gev":
-        return Gev(location=d["loc"], scale=d["scale"], shape=d["shape"])
-    raise ConfigurationError(f"unknown reference density kind '{d['kind']}'")
+    return Gev(location=d["loc"], scale=d["scale"], shape=d["shape"])
 
 
 def _build_schedule(d: dict):
     if d["kind"] == "constant":
         return ConstantLr(d["gamma"])
-    if d["kind"] == "exp_decay":
-        return ExpDecayLr(d["gamma"], d["factor"])
-    raise ConfigurationError(f"unknown learning-rate kind '{d['kind']}'")
+    return ExpDecayLr(d["gamma"], d["factor"])
+
+
+def _subset_config(mcfg: dict) -> SubsetConfig:
+    scfg = mcfg["subset"]
+    sched_cfg = scfg["schedule"]
+    if sched_cfg["kind"] == "adaptive":
+        schedule = AdaptiveSchedule(sched_cfg["p0"])
+    else:
+        schedule = FixedLogSchedule(start=sched_cfg["start"], n_levels=sched_cfg["n_levels"])
+    return SubsetConfig(
+        n_samples=scfg["n_samples"],
+        mh_steps_per_seed=scfg["mh_steps_per_seed"],
+        schedule=schedule,
+        posterior_burn_in=scfg["posterior_burn_in"],
+        posterior_thin=scfg["posterior_thin"],
+    )
+
+
+def _ebm_setup(mcfg: dict):
+    """(reference density, zero bias, working grid, training config) of an ebm method."""
+    gcfg = mcfg["grid"]
+    grid = GridFunction.zeros(gcfg["lo"], gcfg["hi"], gcfg["h"])
+    if mcfg["form"] == "grid":
+        bias = GridBias.zero(gcfg["lo"], gcfg["hi"], gcfg["h"])
+    else:
+        r = mcfg["rbf"]
+        bias = RbfBias.zero(r["n_centers"], r["lo"], r["hi"], r["kappa"])
+    ccfg = mcfg["chain"]
+    st = mcfg["stopping"]
+    stopping = None
+    if st["enabled"]:
+        test = KsdTestConfig(alpha=st["alpha"], a_bs=st["a_bs"], n_boot=st["n_boot"])
+        stopping = KsdStopping(test=test, min_steps=st["min_steps"])
+    train_cfg = TrainConfig(
+        max_steps=mcfg["max_steps"],
+        n_grad_samples=ccfg["n_keep"],
+        chain=ChainConfig(burn_in=ccfg["burn_in"], thin=ccfg["thin"], n_keep=ccfg["n_keep"]),
+        schedule=_build_schedule(mcfg["learning_rate"]),
+        momentum_weight=mcfg["momentum"],
+        stopping=stopping,
+        keep_last_biases=mcfg["estimate_window"],
+        grad_clip=mcfg["grad_clip"] or None,
+        kde_bandwidth=mcfg["kde_bandwidth"] or None,
+    )
+    return _build_p_ref(mcfg["p_ref"]), bias, grid, train_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +287,15 @@ def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator)
 
 
 def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
-    """Execute one independent replicate of the configured experiment."""
+    """Execute one independent replicate; a failed one keeps the budget it used."""
     rng = np.random.default_rng(cfg["runs"]["base_seed"] + run_index)
     bundle = build_problem(cfg["problem"])
     mcfg = cfg["method"]
     thresholds = [float(t) for t in cfg["query"]["thresholds"]]
+    tuning_budget = 0
     try:
         if mcfg["kind"] == "subset":
-            scfg = mcfg["subset"]
-            sched_cfg = scfg["schedule"]
-            if sched_cfg["kind"] == "adaptive":
-                schedule = AdaptiveSchedule(sched_cfg["p0"])
-            else:
-                schedule = FixedLogSchedule(start=sched_cfg["start"], n_levels=sched_cfg["n_levels"])
-            sub_cfg = SubsetConfig(
-                n_samples=scfg["n_samples"],
-                mh_steps_per_seed=scfg["mh_steps_per_seed"],
-                schedule=schedule,
-                posterior_burn_in=scfg["posterior_burn_in"],
-                posterior_thin=scfg["posterior_thin"],
-            )
+            sub_cfg = _subset_config(mcfg)
             proposal, tuning_budget = _tuned_proposal(
                 {**mcfg, "proposal": {**mcfg["proposal"], "kind": "random_walk"}}, bundle, rng
             )
@@ -276,58 +316,16 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             )
 
         # EBM path
-        p_ref = _build_p_ref(mcfg["p_ref"])
-        gcfg = mcfg["grid"]
-        grid = GridFunction.zeros(gcfg["lo"], gcfg["hi"], gcfg["h"])
-        if mcfg["form"] == "grid":
-            bias = GridBias.zero(gcfg["lo"], gcfg["hi"], gcfg["h"])
-        else:
-            r = mcfg["rbf"]
-            bias = RbfBias.zero(r["n_centers"], r["lo"], r["hi"], r["kappa"])
-        ccfg = mcfg["chain"]
-        chain = ChainConfig(burn_in=ccfg["burn_in"], thin=ccfg["thin"], n_keep=ccfg["n_keep"])
-        stopping = None
-        if mcfg["stopping"]["enabled"]:
-            stopping = KsdStopping(
-                kernel=SteinKernelConfig(),
-                test=KsdTestConfig(
-                    alpha=mcfg["stopping"]["alpha"],
-                    a_bs=mcfg["stopping"]["a_bs"],
-                    n_boot=mcfg["stopping"]["n_boot"],
-                ),
-                min_steps=mcfg["stopping"]["min_steps"],
-            )
-        train_cfg = TrainConfig(
-            max_steps=mcfg["max_steps"],
-            n_grad_samples=ccfg["n_keep"],
-            chain=chain,
-            schedule=_build_schedule(mcfg["learning_rate"]),
-            momentum_weight=mcfg["momentum"],
-            stopping=stopping,
-            keep_last_biases=mcfg["estimate_window"],
-            grad_clip=mcfg["grad_clip"] or None,
-            kde_bandwidth=mcfg["kde_bandwidth"] or None,
-        )
+        p_ref, bias, grid, train_cfg = _ebm_setup(mcfg)
         proposal, tuning_budget = _tuned_proposal(mcfg, bundle, rng)
-        result = train_bias_potential(
-            bundle.problem,
-            RareEventQuery(thresholds[0]),
-            p_ref,
-            bias,
-            train_cfg,
-            proposal,
-            grid,
-            rng,
-        )
+        query = RareEventQuery(thresholds[0])
+        result = train_bias_potential(bundle.problem, query, p_ref, bias, train_cfg, proposal, grid, rng)
         window = result.recent_biases or [result.bias]
         if mcfg["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
             # tail once; this cancels oscillation of the bias around its
             # fixed point rather than averaging its exponential.
-            if mcfg["form"] == "grid":
-                avg = GridBias(window[0].grid.with_values(np.mean([b.grid.values for b in window], axis=0)))
-            else:
-                avg = window[0].with_weights(np.mean([b.weights for b in window], axis=0))
+            avg = window[0].with_params(np.mean([b.params for b in window], axis=0))
             est = free_energy_from_bias(avg, p_ref, grid)
             p_hats = [float(tail_probability(est, t)) for t in thresholds]
         else:
@@ -343,11 +341,12 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             trace=result.trace if cfg["output"]["traces"] else None,
         )
     except (TrainingError, ArithmeticError) as exc:
+        partial = getattr(exc, "result", None)
         return RunOutcome(
             run=run_index,
             p_hats=[math.nan] * len(thresholds),
-            budget=0,
-            tuning_budget=0,
+            budget=0 if partial is None else partial.budget,
+            tuning_budget=tuning_budget,
             steps=0,
             stop_reason="error",
             error=str(exc),
@@ -427,10 +426,11 @@ def _references_for(cfg: dict, bundle: ProblemBundle, thresholds: list[float]) -
         refs = ref if isinstance(ref, list) else [ref]
         if len(refs) != len(thresholds):
             raise ConfigurationError("runs.reference must match the number of thresholds")
-        return [None if r is None else float(r) for r in refs]
-    if bundle.oracle is not None:
-        return [float(bundle.oracle(t)) for t in thresholds]
-    return [None] * len(thresholds)
+    elif bundle.oracle is not None:
+        refs = [bundle.oracle(t) for t in thresholds]
+    else:
+        refs = [None] * len(thresholds)
+    return [None if r is None else float(r) for r in refs]
 
 
 def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
@@ -451,7 +451,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
         summarize_estimates([o.p_hats[j] for o in ok], reference=refs[j], threshold=t)
         for j, t in enumerate(thresholds)
     ]
-    budgets = [o.budget for o in ok] or [0]
+    budgets = [o.budget for o in outcomes]
     reasons: dict[str, int] = {}
     for o in outcomes:
         reasons[o.stop_reason] = reasons.get(o.stop_reason, 0) + 1
@@ -462,7 +462,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
         budget_min=int(min(budgets)),
         budget_max=int(max(budgets)),
         budget_mean=float(np.mean(budgets)),
-        tuning_budget_mean=float(np.mean([o.tuning_budget for o in ok] or [0])),
+        tuning_budget_mean=float(np.mean([o.tuning_budget for o in outcomes])),
         stop_reasons=reasons,
     )
 

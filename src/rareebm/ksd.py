@@ -117,12 +117,6 @@ def stein_kernel_matrix(
     )
 
 
-def stein_kernel(r: float, s: float, p_ref: ReferenceDensity, cfg: SteinKernelConfig = SteinKernelConfig()) -> float:
-    if cfg.bandwidth is None:
-        raise NumericError("a fixed bandwidth is required for pointwise evaluation")
-    return float(stein_kernel_matrix(np.array([r]), np.array([s]), p_ref, cfg)[0, 0])
-
-
 def ksd_statistic(
     samples: np.ndarray,
     p_ref: ReferenceDensity,
@@ -174,14 +168,3 @@ def wild_bootstrap_test(
     s_boot = np.einsum("bi,ij,bj->b", w, kmat, w, optimize=True) / n**2
     p_value = (1.0 + int(np.sum(s_boot >= s_obs))) / (test_cfg.n_boot + 1.0)
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
-
-
-def recommended_test_plan(thin_q: int) -> dict:
-    """Suggested flip parameter and minimum sample count for lag-q thinning.
-
-    Advisory only: returns a_bs = 0.1/q and n_min = max(500*q, 100) for
-    integer 1 <= q < 10. Actual experiment configurations set a_bs directly.
-    """
-    if not 1 <= thin_q < 10:
-        raise ValueError("thin_q must satisfy 1 <= q < 10")
-    return {"a_bs": 0.1 / thin_q, "n_min": max(500 * thin_q, 100)}

@@ -1,18 +1,20 @@
-"""Metropolis-Hastings machinery over theta-space for the biased target.
+"""Metropolis-Hastings machinery for the biased target.
 
-The sampler targets p_V(theta) ∝ exp(-(U(theta) + V(R(theta)))) with either
-Gaussian random-walk proposals or prior-preserving preconditioned
-Crank-Nicolson (pCN) proposals in standard-normal coordinates. Chains carry
-their state so bias-potential training can warm-start the chain between
-optimization steps. Every proposal costs one unit of forward-evaluation
-budget.
+The sampler targets p_V(theta) ∝ exp(-(U(theta) + V(R(theta)))). A proposal
+moves latent coordinates by x' = keep * x + scale * z, z standard normal, and
+scores x' by a base density: the Gaussian random walk moves theta itself
+against the full log target; preconditioned Crank-Nicolson (pCN) moves
+standard-normal coordinates, whose prior its move preserves, against the log
+likelihood alone. Chains carry their state so bias-potential training can
+warm-start the chain between optimization steps. Every proposal costs one
+unit of forward-evaluation budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,6 +28,8 @@ _STEP_CAP = 1e3
 
 @dataclass(frozen=True)
 class RandomWalk:
+    """Gaussian random walk in theta with per-coordinate step sizes."""
+
     step_sizes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -33,6 +37,19 @@ class RandomWalk:
         if np.any(s <= 0):
             raise ConfigurationError("random-walk step sizes must be positive")
         object.__setattr__(self, "step_sizes", s)
+
+    def latent(self, problem: TargetProblem, theta: np.ndarray) -> np.ndarray:
+        return theta.copy()
+
+    def move(self, dim: int):
+        """(keep, scale) of the move x' = keep * x + scale * z."""
+        s = self.step_sizes
+        return 1.0, s if s.shape == (dim,) else np.full(dim, float(s))
+
+    def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(log base density, r, theta) at the latent point x."""
+        row = x[None, :]
+        return float(problem.log_target(row)[0]), float(problem.qoi(row)[0]), x
 
 
 @dataclass(frozen=True)
@@ -52,6 +69,29 @@ class Pcn:
             raise ConfigurationError("pCN beta must lie in (0, 1]")
         object.__setattr__(self, "beta", float(b) if b.ndim == 0 else b)
 
+    def latent(self, problem: TargetProblem, theta: np.ndarray) -> np.ndarray:
+        if problem.to_standard_normal is None:
+            raise ConfigurationError("pCN requires a standard-normal transform")
+        return problem.to_standard_normal(theta[None, :])[0]
+
+    def move(self, dim: int):
+        """(keep, scale) of the move u' = keep * u + scale * z."""
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.ndim == 1 and beta.shape != (dim,):
+            raise ConfigurationError("pCN beta vector length must match problem dimension")
+        return np.sqrt(1.0 - beta * beta), beta
+
+    def evaluate(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(log likelihood, r, theta) at standard-normal coordinates u."""
+        theta = problem.from_standard_normal(u[None, :])[0]
+        row = theta[None, :]
+        r = float(problem.qoi(row)[0])
+        ll = 0.0 if problem.log_likelihood is None else float(problem.log_likelihood(row)[0])
+        return ll, r, theta
+
+
+Proposal = RandomWalk | Pcn
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -69,28 +109,11 @@ class ChainConfig:
 
 
 class BiasedTarget:
-    """Posterior (or prior) density reweighted by exp(-V(R(theta)))."""
+    """A problem with an optional bias potential exp(-V(R(theta)))."""
 
     def __init__(self, problem: TargetProblem, bias: Optional[BiasPotential] = None):
         self.problem = problem
         self.bias = bias
-
-    def evaluate(self, theta: np.ndarray) -> tuple[float, float]:
-        """(unbiased log target density, r) at a single point."""
-        row = theta[None, :]
-        lp = float(self.problem.log_target(row)[0])
-        r = float(self.problem.qoi(row)[0])
-        return lp, r
-
-    def evaluate_pcn(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(log likelihood, r, theta) at standard-normal coordinates u."""
-        theta = self.problem.from_standard_normal(u[None, :])[0]
-        row = theta[None, :]
-        r = float(self.problem.qoi(row)[0])
-        ll = 0.0
-        if self.problem.log_likelihood is not None:
-            ll = float(self.problem.log_likelihood(row)[0])
-        return ll, r, theta
 
     def bias_at(self, r: float) -> float:
         if self.bias is None:
@@ -100,17 +123,19 @@ class BiasedTarget:
 
 @dataclass
 class ChainState:
-    """Chain position with its cached unbiased density value.
+    """Chain position with its cached unbiased base density value.
 
+    x holds the proposal's latent coordinates (theta for the random walk,
+    standard-normal u for pCN), so a warm start must keep the proposal kind.
     log_base excludes the bias term so a warm start stays valid after the
     bias potential is updated between training iterations; the bias is
     re-applied at segment start without a fresh forward evaluation.
     """
 
+    x: np.ndarray
     theta: np.ndarray
     r: float
-    log_base: float  # RW: unbiased log target; pCN: log likelihood
-    u: Optional[np.ndarray] = None  # standard-normal coordinates (pCN only)
+    log_base: float
 
 
 @dataclass
@@ -122,26 +147,9 @@ class MhResult:
     budget: int
 
 
-def init_chain_state(target: BiasedTarget, proposal, theta0: np.ndarray) -> tuple[ChainState, int]:
-    """Evaluate the target at the start point; costs one budget unit."""
-    theta0 = np.asarray(theta0, dtype=float)
-    if isinstance(proposal, Pcn):
-        if target.problem.to_standard_normal is None:
-            raise ConfigurationError("pCN requires a standard-normal transform")
-        u0 = target.problem.to_standard_normal(theta0[None, :])[0]
-        ll, r, theta = target.evaluate_pcn(u0)
-        if not math.isfinite(ll):
-            raise NumericError("initial point has non-finite likelihood")
-        return ChainState(theta=theta, r=r, log_base=ll, u=u0), 1
-    lp, r = target.evaluate(theta0)
-    if not math.isfinite(lp):
-        raise NumericError("initial point has non-finite target density")
-    return ChainState(theta=theta0.copy(), r=r, log_base=lp), 1
-
-
 def mh_run(
     target: BiasedTarget,
-    proposal,
+    proposal: Proposal,
     init,
     cfg: ChainConfig,
     rng: np.random.Generator,
@@ -151,44 +159,33 @@ def mh_run(
 
     `init` is either a theta vector (evaluated once, +1 budget) or a
     ChainState from a previous segment (warm start, no extra evaluation).
-    `active` optionally restricts random-walk proposals to a coordinate
-    subset (used during step tuning).
+    `active` optionally restricts the move's noise to a coordinate subset
+    (used during random-walk step tuning).
     """
+    problem = target.problem
     budget = 0
     if isinstance(init, ChainState):
-        state = init
+        x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
     else:
-        state, cost = init_chain_state(target, proposal, init)
-        budget += cost
+        x = proposal.latent(problem, np.asarray(init, dtype=float))
+        log_base, r, theta = proposal.evaluate(problem, x)
+        if not math.isfinite(log_base):
+            raise NumericError("initial point has non-finite base density")
+        budget = 1
+    log_value = log_base - target.bias_at(r)
 
-    d = target.problem.dim
+    d = problem.dim
     total = cfg.total_steps
-    pcn = isinstance(proposal, Pcn)
-    if pcn and state.u is None:
-        raise ConfigurationError("warm start state lacks pCN coordinates")
-    if not pcn:
-        steps = proposal.step_sizes if proposal.step_sizes.shape == (d,) else np.full(d, float(proposal.step_sizes))
-        if active is not None:
-            mask = np.zeros(d)
-            mask[active] = 1.0
-            steps = steps * mask
-    else:
-        beta = np.asarray(proposal.beta, dtype=float)
-        if beta.ndim == 1 and beta.shape != (d,):
-            raise ConfigurationError("pCN beta vector length must match problem dimension")
-        keep = np.sqrt(1.0 - beta * beta)
+    keep, scale = proposal.move(d)
+    if active is not None:
+        mask = np.zeros(d)
+        mask[active] = 1.0
+        scale = scale * mask
 
     kept_theta = np.empty((cfg.n_keep, d))
     kept_r = np.empty(cfg.n_keep)
     n_kept = 0
     accepted_post = 0
-    proposals_post = 0
-
-    theta = state.theta.copy()
-    r = state.r
-    log_base = state.log_base
-    log_value = log_base - target.bias_at(r)
-    u = state.u.copy() if state.u is not None else None
 
     block = 1024
     done = 0
@@ -198,37 +195,46 @@ def mh_run(
         log_unifs = np.log(rng.uniform(size=m))
         for i in range(m):
             step_idx = done + i
-            if pcn:
-                u_prop = keep * u + beta * normals[i]
-                base_prop, r_prop, theta_prop = target.evaluate_pcn(u_prop)
-            else:
-                theta_prop = theta + steps * normals[i]
-                base_prop, r_prop = target.evaluate(theta_prop)
+            x_prop = keep * x + scale * normals[i]
+            base_prop, r_prop, theta_prop = proposal.evaluate(problem, x_prop)
             value_prop = base_prop - target.bias_at(r_prop) if math.isfinite(base_prop) else base_prop
             log_ratio = value_prop - log_value
-            budget += 1
-            accept = log_ratio >= 0.0 or log_unifs[i] < log_ratio
-            if step_idx >= cfg.burn_in:
-                proposals_post += 1
-            if accept:
-                theta = theta_prop
-                r = r_prop
-                log_base = base_prop
-                log_value = value_prop
-                if pcn:
-                    u = u_prop
-                if step_idx >= cfg.burn_in:
-                    accepted_post += 1
+            if log_ratio >= 0.0 or log_unifs[i] < log_ratio:
+                x, theta, r, log_base, log_value = x_prop, theta_prop, r_prop, base_prop, value_prop
+                accepted_post += step_idx >= cfg.burn_in
             if step_idx >= cfg.burn_in and (step_idx - cfg.burn_in + 1) % cfg.thin == 0:
-                if n_kept < cfg.n_keep:
-                    kept_theta[n_kept] = theta
-                    kept_r[n_kept] = r
-                    n_kept += 1
+                kept_theta[n_kept] = theta
+                kept_r[n_kept] = r
+                n_kept += 1
         done += m
+    budget += total
 
-    state = ChainState(theta=theta.copy(), r=r, log_base=log_base, u=None if u is None else u.copy())
-    rate = accepted_post / proposals_post if proposals_post else 0.0
+    # Accepted points are fresh arrays that are never written to, so the
+    # state can hold them without copies.
+    state = ChainState(x=x, theta=theta, r=r, log_base=log_base)
+    rate = accepted_post / (total - cfg.burn_in)
     return MhResult(thetas=kept_theta, rs=kept_r, acceptance_rate=rate, state=state, budget=budget)
+
+
+def _adapt(target, proposal_at: Callable[[float], Proposal], value: float, state, rng, target_accept: float,
+           batch: int, n_batches: int, gain: float, bounds: tuple[float, float], active=None):
+    """Robbins-Monro adaptation of one positive proposal scale.
+
+    After each batch of MH steps under proposal_at(value), the value is
+    multiplied by exp(eta * (acceptance - target_accept)), eta = gain /
+    sqrt(batch index), and clipped to bounds. `state` is a ChainState or a
+    start point, which the first batch evaluates (+1 budget). Returns
+    (value, state, budget).
+    """
+    budget = 0
+    chain = ChainConfig(burn_in=0, thin=1, n_keep=batch)
+    for b in range(1, n_batches + 1):
+        res = mh_run(target, proposal_at(value), state, chain, rng, active=active)
+        budget += res.budget
+        state = res.state
+        eta = gain / math.sqrt(b)
+        value = float(np.clip(value * math.exp(eta * (res.acceptance_rate - target_accept)), *bounds))
+    return value, state, budget
 
 
 def tune_step_sizes(
@@ -243,9 +249,9 @@ def tune_step_sizes(
     """Tune random-walk step sizes toward the target acceptance rate.
 
     Coordinates are tuned in groups (default: one group with all of them):
-    each group's shared step scalar is adapted over pilot batches by
-    exp(eta * (acc - target)) with eta decaying as 1/sqrt(batch). Returns
-    (per-coordinate step sizes, pilot budget used).
+    half the pilot budget adapts each group's shared step scalar with
+    proposals that move only that group, the other half a joint multiplier.
+    Returns (per-coordinate step sizes, pilot budget used).
     """
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
@@ -254,48 +260,31 @@ def tune_step_sizes(
         groups = [np.arange(d)]
     steps = np.ones(d) if init_steps is None else np.asarray(init_steps, dtype=float).copy()
     steps = np.clip(steps, _STEP_FLOOR, _STEP_CAP)
-    budget = 0
     batch = 50
-    # Half the pilot budget tunes the groups one at a time (proposals move
-    # only that group), the other half adapts a joint multiplier.
     n_group_batches = max(2, pilot_steps // (2 * batch * len(groups)))
     n_joint_batches = max(2, pilot_steps // (2 * batch))
-    state, cost = init_chain_state(target, RandomWalk(np.clip(steps, _STEP_FLOOR, None)), np.asarray(init, dtype=float))
-    budget += cost
+    state, budget = np.asarray(init, dtype=float), 0
     for group in groups:
         group = np.asarray(group, dtype=int)
-        scale = float(np.exp(np.mean(np.log(steps[group]))))
-        for b in range(1, n_group_batches + 1):
+
+        def group_walk(scale):
             trial = steps.copy()
             trial[group] = scale
-            res = mh_run(
-                target,
-                RandomWalk(np.clip(trial, _STEP_FLOOR, None)),
-                state,
-                ChainConfig(burn_in=0, thin=1, n_keep=batch),
-                rng,
-                active=group,
-            )
-            budget += res.budget
-            state = res.state
-            eta = 2.0 / math.sqrt(b)
-            scale = float(np.clip(scale * math.exp(eta * (res.acceptance_rate - target_accept)), _STEP_FLOOR, _STEP_CAP))
-        steps[group] = scale
-    mult = 1.0
-    for b in range(1, n_joint_batches + 1):
-        res = mh_run(
-            target,
-            RandomWalk(np.clip(mult * steps, _STEP_FLOOR, None)),
-            state,
-            ChainConfig(burn_in=0, thin=1, n_keep=batch),
-            rng,
+            return RandomWalk(np.clip(trial, _STEP_FLOOR, None))
+
+        scale = float(np.exp(np.mean(np.log(steps[group]))))
+        scale, state, cost = _adapt(
+            target, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0,
+            (_STEP_FLOOR, _STEP_CAP), active=group,
         )
-        budget += res.budget
-        state = res.state
-        eta = 2.0 / math.sqrt(b)
-        mult = float(np.clip(mult * math.exp(eta * (res.acceptance_rate - target_accept)), 1e-4, 1e4))
-    steps = np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP)
-    return steps, budget
+        budget += cost
+        steps[group] = scale
+
+    def joint_walk(mult):
+        return RandomWalk(np.clip(mult * steps, _STEP_FLOOR, None))
+
+    mult, _, cost = _adapt(target, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4))
+    return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost
 
 
 def tune_pcn_beta(
@@ -309,28 +298,7 @@ def tune_pcn_beta(
     """Tune the pCN mixing parameter toward the target acceptance rate."""
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
-    beta = beta0
-    budget = 0
-    batch = 100
-    state, cost = init_chain_state(target, Pcn(beta), np.asarray(init, dtype=float))
-    budget += cost
-    for b in range(1, max(1, pilot_steps // batch) + 1):
-        res = mh_run(target, Pcn(beta), state, ChainConfig(burn_in=0, thin=1, n_keep=batch), rng)
-        budget += res.budget
-        state = res.state
-        eta = 1.0 / math.sqrt(b)
-        beta = float(np.clip(beta * math.exp(eta * (res.acceptance_rate - target_accept)), 1e-4, 1.0))
+    n_batches = max(1, pilot_steps // 100)
+    beta, _, budget = _adapt(target, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0,
+                             (1e-4, 1.0))
     return beta, budget
-
-
-def lag1_correlation(samples) -> Optional[float]:
-    """Pearson correlation of consecutive sample pairs; None when undefined."""
-    x = np.asarray(samples, dtype=float)
-    if len(x) < 3:
-        return None
-    a, b = x[:-1], x[1:]
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
-        return None
-    c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-    return max(-1.0, min(1.0, c))

@@ -12,7 +12,6 @@ shape (n,).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -94,18 +93,6 @@ class ContaminationProblem:
 
     def oracle_tail(self, threshold: float) -> float:
         return contamination_truth(self.posterior_mean, self.posterior_cov, threshold)
-
-    def export_csv(self, path) -> None:
-        measured = set(self.spec.measured_cells)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell", "truth", "measurement"])
-            for i, t in enumerate(self.truth):
-                if i in measured:
-                    y = self.data[list(self.spec.measured_cells).index(i)]
-                    w.writerow([i, format(t, ".17g"), format(y, ".17g")])
-                else:
-                    w.writerow([i, format(t, ".17g"), ""])
 
 
 def conjugate_gaussian_posterior(prior_mean, prior_cov, obs_matrix, noise_cov, data):

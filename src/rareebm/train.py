@@ -98,6 +98,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_steps < 0 or self.n_grad_samples < 1 or self.keep_last_biases < 1:
             raise ValueError("invalid training configuration")
+        if not 0.0 <= self.momentum_weight < 1.0:
+            raise ValueError("momentum weight must lie in [0, 1)")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
         if self.kde_bandwidth is not None and self.kde_bandwidth <= 0:
@@ -186,8 +188,7 @@ def train_bias_potential(
     bias = bias_init
     is_grid = isinstance(bias, GridBias)
     p_ref_grid = grid.with_values(np.asarray(p_ref.pdf(grid.xs), dtype=float))
-    dim = len(bias.grid.values) if is_grid else len(bias.weights)
-    sgdm = SgdmState(np.zeros(dim), 0, cfg.momentum_weight)
+    sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
     recent: list[BiasPotential] = []
     budget = 0
@@ -219,20 +220,14 @@ def train_bias_potential(
         if is_grid:
             if p_v_kde is None:
                 raise TrainingError("degenerate chain samples: KDE unavailable for grid update")
-            grad_vals = kl_gradient_grid(p_ref_grid, p_v_kde).values
-            if cfg.grad_clip is not None:
-                grad_vals = np.clip(grad_vals, -cfg.grad_clip, cfg.grad_clip)
-            delta, sgdm = sgdm_step(sgdm, grad_vals, lr)
-            bias = GridBias(bias.grid.with_values(bias.grid.values + delta))
-            max_mag = float(np.abs(bias.grid.values).max())
+            grad = kl_gradient_grid(p_ref_grid, p_v_kde).values
         else:
-            ref_samples = p_ref.sample(rng, cfg.n_grad_samples)
-            grad = kl_gradient_rbf(bias, ref_samples, s_samples)
-            if cfg.grad_clip is not None:
-                grad = np.clip(grad, -cfg.grad_clip, cfg.grad_clip)
-            delta, sgdm = sgdm_step(sgdm, grad, lr)
-            bias = bias.with_weights(bias.weights + delta)
-            max_mag = float(np.abs(bias.weights).max())
+            grad = kl_gradient_rbf(bias, p_ref.sample(rng, cfg.n_grad_samples), s_samples)
+        if cfg.grad_clip is not None:
+            grad = np.clip(grad, -cfg.grad_clip, cfg.grad_clip)
+        delta, sgdm = sgdm_step(sgdm, grad, lr)
+        bias = bias.with_params(bias.params + delta)
+        max_mag = float(np.abs(bias.params).max())
 
         recent.append(bias)
         if len(recent) > cfg.keep_last_biases:

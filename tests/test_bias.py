@@ -1,9 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from rareebm.bias import GridBias, RbfBias, save_bias_csv
+from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import GridFunction
 
 
@@ -11,7 +9,7 @@ class TestRbfBias:
     def test_zero_and_evaluation(self):
         b = RbfBias.zero(11, -5.0, 5.0, 1.0)
         assert np.all(b(np.linspace(-5, 5, 7)) == 0.0)
-        b2 = b.with_weights(np.ones(11))
+        b2 = b.with_params(np.ones(11))
         # at a center the local kernel contributes exactly 1
         assert b2(np.array([0.0]))[0] >= 1.0
 
@@ -42,23 +40,3 @@ class TestGridBias:
         # constant beyond edges
         assert b(np.array([-10.0]))[0] == pytest.approx(0.0)
         assert b(np.array([10.0]))[0] == pytest.approx(4.0)
-
-    def test_updated(self):
-        b = GridBias.zero(0.0, 1.0, 0.5)
-        direction = GridFunction(0.0, 1.0, 0.5, np.array([1.0, 2.0, 3.0]))
-        nb = b.updated(direction, 0.1)
-        np.testing.assert_allclose(nb.grid.values, [-0.1, -0.2, -0.3])
-        with pytest.raises(ValueError):
-            b.updated(GridFunction.zeros(0.0, 2.0, 0.5), 0.1)
-
-
-def test_save_bias_csv(tmp_path):
-    grid = GridFunction.zeros(-1.0, 1.0, 0.5)
-    bias = GridBias(grid.with_values(np.array([1.0, 2.0, 3.0, 4.0, 5.0])))
-    path = tmp_path / "bias.csv"
-    save_bias_csv(bias, grid, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "V"]
-    assert len(rows) == 6
-    assert float(rows[3][1]) == pytest.approx(3.0)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rareebm.cli import main
 
 
@@ -54,3 +56,34 @@ def test_traces_rejects_subset(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_tiny_config()))
     assert main(["traces", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("method.momentum", 1.0),
+        ("method.form", "gird"),
+        ("method.proposal.kind", "pnc"),
+        ("method.kind", "mcmc"),
+        ("problem.name", "contamnation"),
+        ("method.p_ref.kind", "gumbel"),
+        ("method.learning_rate.kind", "cosine"),
+        ("method.subset.schedule.kind", "geometric"),
+    ],
+)
+def test_run_malformed_value(tmp_path, path, value):
+    cfg = {
+        "problem": {"name": "four_branch"},
+        "query": {"thresholds": [0.0]},
+        "method": {"grid": {"lo": -10.0, "hi": 100.0, "h": 0.1}, "max_steps": 1},
+        "runs": {"n_runs": 1},
+    }
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["--out-dir", str(tmp_path / "out"), "run", str(config)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -161,6 +162,28 @@ class TestRunExperiment:
     def test_stop_reason_counts(self):
         stats = run_experiment(tiny_ebm_config())
         assert stats.stop_reasons == {"max_steps": 2}
+
+    def test_failed_replicates_keep_budget(self, tmp_path):
+        # the first update of a huge learning rate diverges
+        cfg = tiny_ebm_config()
+        cfg["method"]["learning_rate"] = {"kind": "constant", "gamma": 1e12}
+        cfg["output"] = {"dir": str(tmp_path)}
+        stats = run_experiment(cfg)
+        assert stats.n_failed == 2 and stats.stop_reasons == {"error": 2}
+        segment = 1 + 5 + 2 * 40  # start point, burn-in, thinned steps
+        assert stats.budget_min == stats.budget_max == segment
+        assert stats.tuning_budget_mean == 1 + 4 * 50  # start point, four pilot batches
+        with open(tmp_path / "runs.csv") as fh:
+            assert [int(row["budget"]) for row in csv.DictReader(fh)] == [segment, segment]
+
+    def test_oracle_only_at_threshold_zero(self):
+        cfg = tiny_ebm_config(problem={"name": "load_capacity", "n_components": 10})
+        cfg["query"]["thresholds"] = [0.0, 5.0]
+        cfg["runs"]["n_runs"] = 1
+        cfg["method"]["proposal"] = {"kind": "pcn", "beta": 0.3}
+        at_zero, at_five = run_experiment(cfg).per_threshold
+        assert at_zero.reference == pytest.approx(6.9e-5, rel=0.01) and at_zero.rmse is not None
+        assert at_five.reference is None and at_five.rmse is None
 
 
 def test_table_registry_configs_load():

@@ -8,8 +8,6 @@ from rareebm.ksd import (
     SteinKernelConfig,
     ksd_statistic,
     median_heuristic_bandwidth,
-    recommended_test_plan,
-    stein_kernel,
     stein_kernel_matrix,
     wild_bootstrap_test,
 )
@@ -42,20 +40,11 @@ class TestSteinKernel:
             k = stein_kernel_matrix(r, r, p, cfg)
             np.testing.assert_allclose(k, k.T, atol=1e-10)
 
-    def test_pointwise_matches_matrix(self):
-        p = Gaussian(0.5, 2.0)
-        cfg = SteinKernelConfig(bandwidth=1.3)
-        k = stein_kernel_matrix(np.array([0.2, 1.0]), np.array([0.2, 1.0]), p, cfg)
-        assert stein_kernel(0.2, 1.0, p, cfg) == pytest.approx(k[0, 1])
-
-    def test_pointwise_needs_bandwidth(self):
-        with pytest.raises(NumericError):
-            stein_kernel(0.0, 1.0, Gaussian(0.0, 1.0), SteinKernelConfig())
-
     def test_closed_form_se_value(self):
         # hand-computed Stein kernel for N(0,1), SE kernel, h=1, r=0, s=0:
         # d2k = 1, scores are 0, so k_p(0,0) = 1
-        assert stein_kernel(0.0, 0.0, Gaussian(0.0, 1.0), SteinKernelConfig(bandwidth=1.0)) == pytest.approx(1.0)
+        k = stein_kernel_matrix(np.zeros(1), np.zeros(1), Gaussian(0.0, 1.0), SteinKernelConfig(bandwidth=1.0))
+        assert k[0, 0] == pytest.approx(1.0)
 
     def test_stein_identity_quadrature(self):
         # E_{r,s ~ p}[k_p(r, s)] = 0 for the target density
@@ -107,11 +96,3 @@ class TestWildBootstrap:
         out = wild_bootstrap_test(np.full(50, 1.0), Gaussian(0.0, 1.0),
                                   SteinKernelConfig(), KsdTestConfig(), rng)
         assert out.skipped and out.reject
-
-
-def test_recommended_test_plan():
-    plan = recommended_test_plan(2)
-    assert plan["a_bs"] == pytest.approx(0.05)
-    assert plan["n_min"] == 1000
-    with pytest.raises(ValueError):
-        recommended_test_plan(10)

@@ -10,7 +10,6 @@ from rareebm.mcmc import (
     ChainConfig,
     Pcn,
     RandomWalk,
-    lag1_correlation,
     mh_run,
     tune_pcn_beta,
     tune_step_sizes,
@@ -148,16 +147,3 @@ class TestTuning:
         beta, budget = tune_pcn_beta(target, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
         assert 0.0 < beta <= 1.0
         assert budget >= 400
-
-
-class TestLag1:
-    def test_iid_near_zero(self, rng):
-        assert abs(lag1_correlation(rng.standard_normal(5000))) < 0.05
-
-    def test_persistent_series(self):
-        x = np.repeat(np.arange(100.0), 5)
-        assert lag1_correlation(x) > 0.9
-
-    def test_undefined_cases(self):
-        assert lag1_correlation(np.ones(50)) is None
-        assert lag1_correlation(np.array([1.0, 2.0])) is None

@@ -89,13 +89,6 @@ class TestContamination:
         with pytest.raises(ConfigurationError):
             ContaminationSpec(measured_cells=(0, 99))
 
-    def test_export_csv(self, tmp_path):
-        cp = contamination_problem()
-        path = tmp_path / "field.csv"
-        cp.export_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 10  # header + 9 cells
-
 
 class TestFourBranch:
     def test_symmetry(self, rng):

@@ -1,0 +1,135 @@
+"""Property tests of invariants that the unit tests check at single points."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import scalar_normal_problem
+from rareebm.bias import GridBias, RbfBias
+from rareebm.densities import Gaussian, GridFunction
+from rareebm.estimator import free_energy_from_bias, tail_probability
+from rareebm.harness import load_config
+from rareebm.mcmc import (
+    _STEP_CAP,
+    _STEP_FLOOR,
+    BiasedTarget,
+    ChainConfig,
+    Pcn,
+    RandomWalk,
+    mh_run,
+    tune_pcn_beta,
+    tune_step_sizes,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    burn_in=st.integers(0, 20),
+    thin=st.integers(1, 4),
+    n_keep=st.integers(1, 30),
+    pcn=st.booleans(),
+    biased=st.booleans(),
+    seed=seeds,
+)
+def test_budget_is_the_number_of_evaluations(burn_in, thin, n_keep, pcn, biased, seed):
+    calls = []
+    base = scalar_normal_problem()
+
+    def qoi(theta):
+        calls.append(len(theta))
+        return base.qoi(theta)
+
+    problem = dataclasses.replace(base, qoi=qoi)
+    bias = GridBias(GridFunction.from_callable(-5.0, 5.0, 0.5, lambda r: 0.3 * r)) if biased else None
+    target = BiasedTarget(problem, bias)
+    proposal = Pcn(0.5) if pcn else RandomWalk(np.array([1.0]))
+    cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
+    rng = np.random.default_rng(seed)
+    cold = mh_run(target, proposal, np.zeros(1), cfg, rng)
+    assert cold.budget == cfg.total_steps + 1 == sum(calls)
+    warm = mh_run(target, proposal, cold.state, cfg, rng)
+    assert warm.budget == cfg.total_steps
+    assert sum(calls) == cold.budget + warm.budget
+    assert cold.thetas.shape == (n_keep, 1) and len(warm.rs) == n_keep
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=arrays(float, 11, elements=st.floats(-50.0, 50.0)),
+    r=arrays(float, 7, elements=st.floats(-10.0, 10.0)),
+)
+def test_with_params_of_params_is_the_same_potential(values, r):
+    for bias in (GridBias(GridFunction(-5.0, 5.0, 1.0, values)), RbfBias(values, np.linspace(-5.0, 5.0, 11), 0.7)):
+        same = bias.with_params(bias.params)
+        assert type(same) is type(bias)
+        np.testing.assert_array_equal(same(r), bias(r))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=arrays(float, 81, elements=st.floats(-20.0, 20.0)),
+    c=st.floats(-1e3, 1e3),
+    threshold=st.floats(-3.9, 3.9),
+)
+def test_grid_p_hat_is_invariant_under_a_constant_shift(values, c, threshold):
+    grid = GridFunction.zeros(-4.0, 4.0, 0.1)
+    p_ref = Gaussian(0.0, 1.5)
+    bias = GridBias(grid.with_values(values))
+    shifted = bias.with_params(bias.params + c)
+    pa = tail_probability(free_energy_from_bias(bias, p_ref, grid), threshold)
+    pb = tail_probability(free_energy_from_bias(shifted, p_ref, grid), threshold)
+    # V + c moves every exponent by c before the max is subtracted, so the
+    # results differ only by the rounding of c: a few ulps of 1e3.
+    assert pb == pytest.approx(pa, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(target_accept=st.floats(0.01, 0.99), init_step=st.floats(1e-9, 1e5), beta0=st.floats(1e-4, 1.0), seed=seeds)
+def test_tuned_scales_stay_within_their_clip_bounds(target_accept, init_step, beta0, seed):
+    target = BiasedTarget(scalar_normal_problem())
+    rng = np.random.default_rng(seed)
+    steps, _ = tune_step_sizes(
+        target, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, init_steps=np.array([init_step])
+    )
+    assert np.all((_STEP_FLOOR <= steps) & (steps <= _STEP_CAP))
+    beta, _ = tune_pcn_beta(target, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
+    assert 1e-4 <= beta <= 1.0
+
+
+configs = st.fixed_dictionaries(
+    {
+        "problem": st.fixed_dictionaries({"name": st.sampled_from(["contamination", "four_branch", "load_capacity"])}),
+        "query": st.fixed_dictionaries({"thresholds": st.lists(st.floats(-50.0, 100.0), min_size=1, max_size=3)}),
+        "method": st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(["ebm", "subset"]),
+                "form": st.sampled_from(["grid", "rbf"]),
+                "estimate_average": st.sampled_from(["probability", "potential"]),
+                "momentum": st.floats(0.0, 1.0, exclude_max=True),
+                "proposal": st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn", "default"])}),
+                "p_ref": st.fixed_dictionaries({"kind": st.sampled_from(["gaussian", "gev"])}),
+                "learning_rate": st.sampled_from([{"kind": "constant"}, {"kind": "exp_decay", "factor": -0.01}]),
+                "subset": st.fixed_dictionaries(
+                    {"schedule": st.fixed_dictionaries({"kind": st.sampled_from(["adaptive", "fixed_log"])})}
+                ),
+            }
+        ),
+        "runs": st.fixed_dictionaries({"n_runs": st.integers(1, 100), "base_seed": st.integers(0, 10**6)}),
+    }
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=configs)
+def test_load_config_is_idempotent(cfg):
+    once = load_config(cfg)
+    assert load_config(once) == once
+    # summary.json stores the loaded config as JSON; it must load back unchanged
+    assert load_config(json.loads(json.dumps(once))) == once

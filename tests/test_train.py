@@ -63,7 +63,7 @@ class TestSchedules:
 class TestGradients:
     def test_kl_mle_identity(self, rng):
         # the two code paths must agree to machine precision
-        bias = RbfBias.zero(40, -5, 5, 1.0).with_weights(rng.standard_normal(40))
+        bias = RbfBias.zero(40, -5, 5, 1.0).with_params(rng.standard_normal(40))
         ref = rng.standard_normal(500)
         biased = rng.standard_normal(500) + 0.3
         np.testing.assert_allclose(
