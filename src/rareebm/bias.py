@@ -26,6 +26,11 @@ class RbfBias:
     weights: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
     kappa: float = 1.0
+    # [nodes, features(nodes)] for the last read-only node array evaluated
+    # (the working grid's xs). Centers and kappa never change, so every
+    # with_params copy shares it and a grid readout is one matrix-vector
+    # product.
+    _grid_features: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -50,7 +55,15 @@ class RbfBias:
         return np.exp(-z * z)
 
     def __call__(self, r):
-        return self.features(r) @ self.weights
+        nodes, feats = self._grid_features
+        if r is not nodes:
+            # Only a read-only array is cached: its contents cannot change
+            # behind the identity check. Scalars and fresh samples are not.
+            if not (isinstance(r, np.ndarray) and not r.flags.writeable):
+                return self.features(r) @ self.weights
+            feats = self.features(r)
+            self._grid_features[:] = [r, feats]
+        return feats @ self.weights
 
     def weight_gradient(self, r):
         return self.features(r)
@@ -60,7 +73,9 @@ class RbfBias:
         return self.weights
 
     def with_params(self, params) -> "RbfBias":
-        return RbfBias(np.asarray(params, dtype=float), self.centers, self.kappa)
+        bias = RbfBias(np.asarray(params, dtype=float), self.centers, self.kappa)
+        object.__setattr__(bias, "_grid_features", self._grid_features)
+        return bias
 
     with_weights = with_params  # the RBF-specific name of the same constructor
 

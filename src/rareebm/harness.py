@@ -138,9 +138,25 @@ def load_config(source) -> dict:
             raise ConfigurationError(f"grid does not cover query threshold {t}")
     try:
         _subset_config(mcfg) if mcfg["kind"] == "subset" else _ebm_setup(mcfg)
+        _check_proposal(mcfg["proposal"], _problem_dim(cfg["problem"]))
     except (TypeError, ValueError) as exc:  # dataclass validators raise ValueError
         raise ConfigurationError(f"invalid method settings: {exc}") from exc
     return cfg
+
+
+def _check_proposal(pc: dict, dim: int) -> None:
+    if pc["pilot_steps"] < 200:
+        raise ConfigurationError("method.proposal.pilot_steps must be >= 200")
+    if not 0.0 < pc["target_accept"] < 1.0:
+        raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
+    beta = pc["beta"]
+    if isinstance(beta, list):
+        if not 1 <= len(beta) <= dim:
+            raise ConfigurationError(f"method.proposal.beta needs 1 to {dim} values, got {len(beta)}")
+        if not all(0.0 < b <= 1.0 for b in beta):
+            raise ConfigurationError("method.proposal.beta values must lie in (0, 1]")
+    elif not 0.0 <= beta <= 1.0:  # 0 selects a tuned beta
+        raise ConfigurationError("method.proposal.beta must lie in (0, 1], or be 0 to tune it")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +169,16 @@ class ProblemBundle:
     rw_groups: Optional[list] = None
     rw_init_steps: Optional[np.ndarray] = None
     default_proposal: str = "random_walk"
+
+
+def _problem_dim(pcfg: dict) -> int:
+    """Dimension of the problem that build_problem(pcfg) builds, without building it."""
+    name = pcfg["name"]
+    if name == "contamination":
+        return ContaminationSpec().n_cells
+    if name == "four_branch":
+        return 2
+    return LoadCapacitySpec(n_components=pcfg["n_components"]).n_components + 1
 
 
 def build_problem(pcfg: dict) -> ProblemBundle:
@@ -251,6 +277,7 @@ class RunOutcome:
     stop_reason: str
     error: Optional[str] = None
     trace: Optional[list] = None
+    tail_warning: bool = False  # the final readout has mass at the grid's upper edge
 
 
 def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator):
@@ -325,12 +352,9 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             # Average the potential itself over the window, then read off the
             # tail once; this cancels oscillation of the bias around its
             # fixed point rather than averaging its exponential.
-            avg = window[0].with_params(np.mean([b.params for b in window], axis=0))
-            est = free_energy_from_bias(avg, p_ref, grid)
-            p_hats = [float(tail_probability(est, t)) for t in thresholds]
-        else:
-            ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
-            p_hats = [float(np.mean([tail_probability(e, t) for e in ests])) for t in thresholds]
+            window = [window[0].with_params(np.mean([b.params for b in window], axis=0))]
+        ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
+        p_hats = [float(np.mean([tail_probability(e, t) for e in ests])) for t in thresholds]
         return RunOutcome(
             run=run_index,
             p_hats=p_hats,
@@ -339,6 +363,7 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             steps=len(result.trace),
             stop_reason=result.stop_reason,
             trace=result.trace if cfg["output"]["traces"] else None,
+            tail_warning=any(e.tail_warning for e in ests),
         )
     except (TrainingError, ArithmeticError) as exc:
         partial = getattr(exc, "result", None)
@@ -389,6 +414,7 @@ class RunStatistics:
     budget_mean: float
     tuning_budget_mean: float
     stop_reasons: dict[str, int]
+    n_tail_warnings: int = 0  # replicates whose final readout set tail_warning
 
     def as_dict(self) -> dict:
         return {
@@ -399,6 +425,7 @@ class RunStatistics:
             "budget": {"min": self.budget_min, "max": self.budget_max, "mean": self.budget_mean},
             "tuning_budget_mean": self.tuning_budget_mean,
             "stop_reasons": self.stop_reasons,
+            "tail_warnings": self.n_tail_warnings,
         }
 
 
@@ -464,6 +491,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
         budget_mean=float(np.mean(budgets)),
         tuning_budget_mean=float(np.mean([o.tuning_budget for o in outcomes])),
         stop_reasons=reasons,
+        n_tail_warnings=sum(o.tail_warning for o in outcomes),
     )
 
     out_dir = cfg["output"]["dir"]

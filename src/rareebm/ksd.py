@@ -121,13 +121,19 @@ def ksd_statistic(
     samples: np.ndarray,
     p_ref: ReferenceDensity,
     cfg: SteinKernelConfig = SteinKernelConfig(),
+    kmat: np.ndarray | None = None,
 ) -> float:
-    """V-statistic KSD: sqrt of the full double sum including the diagonal."""
+    """V-statistic KSD: sqrt of the full double sum including the diagonal.
+
+    `kmat` is the samples' Stein kernel matrix when the caller has built it
+    already (training shares one with the wild bootstrap).
+    """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 2:
         raise NumericError("KSD needs at least 2 samples")
-    kmat = stein_kernel_matrix(samples, samples, p_ref, cfg)
+    if kmat is None:
+        kmat = stein_kernel_matrix(samples, samples, p_ref, cfg)
     val = float(kmat.sum()) / n**2
     if val < 0:
         if val > -1e-14:
@@ -143,6 +149,7 @@ def wild_bootstrap_test(
     kernel_cfg: SteinKernelConfig,
     test_cfg: KsdTestConfig,
     rng: np.random.Generator,
+    kmat: np.ndarray | None = None,
 ) -> KsdTestResult:
     """Goodness-of-fit test of the samples against p_ref.
 
@@ -150,6 +157,7 @@ def wild_bootstrap_test(
     replicates multiply the kernel matrix entries by W_i W_j where W is a
     sign chain flipping with probability a_bs. The null (samples follow
     p_ref) is rejected when the p-value falls below the test size 1 - alpha.
+    `kmat` is the samples' Stein kernel matrix if already built.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -158,7 +166,8 @@ def wild_bootstrap_test(
     if float(np.var(samples)) < 1e-12:
         # Degenerate chain segment: no information, report as not stopped.
         return KsdTestResult(reject=True, p_value=0.0, statistic=float("inf"), skipped=True)
-    kmat = stein_kernel_matrix(samples, samples, p_ref, kernel_cfg)
+    if kmat is None:
+        kmat = stein_kernel_matrix(samples, samples, p_ref, kernel_cfg)
     if not np.any(kmat):
         raise EstimationError("degenerate Stein kernel matrix")
     s_obs = float(kmat.sum()) / n**2

@@ -115,10 +115,9 @@ class BiasedTarget:
         self.problem = problem
         self.bias = bias
 
-    def bias_at(self, r: float) -> float:
-        if self.bias is None:
-            return 0.0
-        return float(self.bias(np.array([r]))[0])
+
+def _no_bias(r: float) -> float:
+    return 0.0
 
 
 @dataclass
@@ -163,6 +162,7 @@ def mh_run(
     (used during random-walk step tuning).
     """
     problem = target.problem
+    bias = _no_bias if target.bias is None else target.bias
     budget = 0
     if isinstance(init, ChainState):
         x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
@@ -172,7 +172,7 @@ def mh_run(
         if not math.isfinite(log_base):
             raise NumericError("initial point has non-finite base density")
         budget = 1
-    log_value = log_base - target.bias_at(r)
+    log_value = log_base - float(bias(r))
 
     d = problem.dim
     total = cfg.total_steps
@@ -191,13 +191,13 @@ def mh_run(
     done = 0
     while done < total:
         m = min(block, total - done)
-        normals = rng.standard_normal((m, d))
-        log_unifs = np.log(rng.uniform(size=m))
+        steps = scale * rng.standard_normal((m, d))
+        log_unifs = np.log(rng.uniform(size=m)).tolist()
         for i in range(m):
             step_idx = done + i
-            x_prop = keep * x + scale * normals[i]
+            x_prop = keep * x + steps[i]
             base_prop, r_prop, theta_prop = proposal.evaluate(problem, x_prop)
-            value_prop = base_prop - target.bias_at(r_prop) if math.isfinite(base_prop) else base_prop
+            value_prop = base_prop - float(bias(r_prop)) if math.isfinite(base_prop) else base_prop
             log_ratio = value_prop - log_value
             if log_ratio >= 0.0 or log_unifs[i] < log_ratio:
                 x, theta, r, log_base, log_value = x_prop, theta_prop, r_prop, base_prop, value_prop

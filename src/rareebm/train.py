@@ -20,7 +20,7 @@ from rareebm.bias import BiasPotential, GridBias, RbfBias
 from rareebm.densities import GridFunction, ReferenceDensity, grid_normalize, kde_gaussian
 from rareebm.errors import EstimationError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability
-from rareebm.ksd import KsdTestConfig, SteinKernelConfig, ksd_statistic, wild_bootstrap_test
+from rareebm.ksd import KsdTestConfig, SteinKernelConfig, ksd_statistic, stein_kernel_matrix, wild_bootstrap_test
 from rareebm.mcmc import BiasedTarget, ChainConfig, mh_run
 from rareebm.problems import RareEventQuery, TargetProblem
 
@@ -159,10 +159,11 @@ def kl_gradient_grid(p_ref_grid: GridFunction, p_v_grid: GridFunction) -> GridFu
     return p_ref_grid.with_values(p_ref_grid.values - p_v_grid.values)
 
 
-def estimate_kl(p_ref: ReferenceDensity, p_v_grid: GridFunction) -> float:
+def estimate_kl(p_ref_grid: GridFunction, p_v_grid: GridFunction) -> float:
     """Trapezoid estimate of KL(p_ref || p_V) on the grid; p_V clamped at 1e-12."""
-    xs = p_v_grid.xs
-    ref_vals = np.asarray(p_ref.pdf(xs), dtype=float)
+    if not p_ref_grid.same_domain(p_v_grid):
+        raise ValueError("grid domains do not match")
+    ref_vals = p_ref_grid.values
     pv = np.clip(p_v_grid.values, 1e-12, None)
     integrand = np.where(ref_vals > 0, ref_vals * (np.log(np.where(ref_vals > 0, ref_vals, 1.0)) - np.log(pv)), 0.0)
     return float(np.trapezoid(integrand, dx=p_v_grid.h))
@@ -188,6 +189,7 @@ def train_bias_potential(
     bias = bias_init
     is_grid = isinstance(bias, GridBias)
     p_ref_grid = grid.with_values(np.asarray(p_ref.pdf(grid.xs), dtype=float))
+    kernel = cfg.stopping.kernel if cfg.stopping else SteinKernelConfig()
     sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
     recent: list[BiasPotential] = []
@@ -241,8 +243,10 @@ def train_bias_potential(
 
         est = free_energy_from_bias(bias, p_ref, grid)
         p_hat = tail_probability(est, query.threshold)
-        kl = estimate_kl(p_ref, p_v_kde) if (cfg.track_kl and p_v_kde is not None) else None
-        ksd_val = ksd_statistic(s_samples, p_ref, cfg.stopping.kernel if cfg.stopping else SteinKernelConfig())
+        kl = estimate_kl(p_ref_grid, p_v_kde) if (cfg.track_kl and p_v_kde is not None) else None
+        # One Stein kernel matrix serves the traced KSD and the stopping test.
+        kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
+        ksd_val = ksd_statistic(s_samples, p_ref, kernel, kmat=kmat)
         trace.append(
             TrainRecord(
                 iteration=it,
@@ -255,9 +259,13 @@ def train_bias_potential(
         )
 
         if cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps:
-            outcome = wild_bootstrap_test(s_samples, p_ref, cfg.stopping.kernel, cfg.stopping.test, rng)
+            outcome = wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng, kmat=kmat)
             if not outcome.reject:
                 stop_reason = "ksd"
                 break
+        # Freed here rather than at the next assignment: held through the next
+        # iteration it sits in the heap under the KDE's temporaries and raises
+        # peak RSS by about 0.5 MB.
+        del kmat
 
     return TrainResult(bias=bias, trace=trace, budget=budget, stop_reason=stop_reason, recent_biases=recent)

@@ -69,6 +69,15 @@ def test_traces_rejects_subset(tmp_path):
         ("method.p_ref.kind", "gumbel"),
         ("method.learning_rate.kind", "cosine"),
         ("method.subset.schedule.kind", "geometric"),
+        ("method.proposal.beta", 1.5),
+        ("method.proposal.beta", -0.5),
+        ("method.proposal.beta", [0.5, 1.5]),
+        ("method.proposal.beta", [0.5, 0.0]),
+        ("method.proposal.beta", [0.5, 0.5, 0.5]),
+        ("method.proposal.beta", []),
+        ("method.proposal.pilot_steps", 100),
+        ("method.proposal.target_accept", 1.5),
+        ("method.proposal.target_accept", 0.0),
     ],
 )
 def test_run_malformed_value(tmp_path, path, value):

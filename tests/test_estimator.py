@@ -18,7 +18,15 @@ class TestFreeEnergy:
         p_ref = Gaussian(0.5, 1.5)
         est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), p_ref, grid)
         np.testing.assert_allclose(est.density.values, p_ref.pdf(grid.xs), atol=1e-4)
-        assert not est.tail_warning is None
+
+    def test_tail_warning_for_mass_at_the_upper_edge(self, grid):
+        est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(7.0, 1.0), grid)
+        assert est.tail_warning is True
+
+    def test_no_tail_warning_well_inside_the_grid(self, grid):
+        # the upper edge is 16 sd out: density there is exp(-128) of the peak
+        est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(0.0, 0.5), grid)
+        assert est.tail_warning is False
 
     def test_optimal_bias_recovers_target(self, grid):
         # V = -F - log p_ref reconstructs p_R exactly

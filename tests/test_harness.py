@@ -8,6 +8,7 @@ import pytest
 from rareebm.errors import ConfigurationError
 from rareebm.harness import (
     TABLE_ROWS,
+    _problem_dim,
     build_problem,
     load_config,
     run_experiment,
@@ -150,6 +151,7 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "trace_0.csv").exists()
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["statistics"]["n_runs"] == 2
+        assert summary["statistics"]["tail_warnings"] == stats.n_tail_warnings
         got = summary["statistics"]["thresholds"][0]["mean"]
         assert got == pytest.approx(stats.per_threshold[0].mean, rel=1e-12)
 
@@ -176,6 +178,16 @@ class TestRunExperiment:
         with open(tmp_path / "runs.csv") as fh:
             assert [int(row["budget"]) for row in csv.DictReader(fh)] == [segment, segment]
 
+    def test_tail_warnings_counted(self, tmp_path):
+        # no training steps: the readout is p_ref itself, which reaches past hi
+        cfg = tiny_ebm_config()
+        cfg["method"]["grid"] = {"lo": -10.0, "hi": 12.0, "h": 0.1}
+        cfg["method"]["max_steps"] = 0
+        cfg["output"] = {"dir": str(tmp_path)}
+        assert run_experiment(cfg).n_tail_warnings == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["statistics"]["tail_warnings"] == 2
+
     def test_oracle_only_at_threshold_zero(self):
         cfg = tiny_ebm_config(problem={"name": "load_capacity", "n_components": 10})
         cfg["query"]["thresholds"] = [0.0, 5.0]
@@ -184,6 +196,15 @@ class TestRunExperiment:
         at_zero, at_five = run_experiment(cfg).per_threshold
         assert at_zero.reference == pytest.approx(6.9e-5, rel=0.01) and at_zero.rmse is not None
         assert at_five.reference is None and at_five.rmse is None
+
+
+@pytest.mark.parametrize(
+    "pcfg",
+    [{"name": "contamination"}, {"name": "four_branch"}, {"name": "load_capacity", "n_components": 100}],
+)
+def test_problem_dim_matches_the_built_problem(pcfg):
+    pcfg = load_config({"problem": pcfg, "method": {"kind": "subset"}})["problem"]
+    assert _problem_dim(pcfg) == build_problem(pcfg).problem.dim
 
 
 def test_table_registry_configs_load():

@@ -14,6 +14,7 @@ from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, GridFunction
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.harness import load_config
+from rareebm.ksd import SteinKernelConfig, stein_kernel_matrix
 from rareebm.mcmc import (
     _STEP_CAP,
     _STEP_FLOOR,
@@ -70,6 +71,57 @@ def test_with_params_of_params_is_the_same_potential(values, r):
         same = bias.with_params(bias.params)
         assert type(same) is type(bias)
         np.testing.assert_array_equal(same(r), bias(r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.lists(arrays(float, 9, elements=st.floats(-50.0, 50.0)), min_size=1, max_size=4),
+    kappa=st.floats(0.1, 3.0),
+    lo=st.floats(-10.0, 0.0),
+    h=st.sampled_from([0.05, 0.1, 0.25]),
+    r=st.floats(-12.0, 12.0),
+)
+def test_rbf_grid_readout_is_features_times_weights(weights, kappa, lo, h, r):
+    grids = [GridFunction.zeros(lo, lo + 10.0, h), GridFunction.zeros(lo - 1.0, lo + 12.0, h)]
+    bias = RbfBias(np.zeros(9), np.linspace(-6.0, 6.0, 9), kappa)
+    for grid in grids:
+        for w in weights:
+            bias = bias.with_params(w)
+            np.testing.assert_array_equal(bias(grid.xs), bias.features(grid.xs) @ w)
+            # a scalar or a writeable sample array neither fills nor evicts the cache
+            samples = np.array([r, -r])
+            assert bias(r) == bias.features(r) @ w
+            np.testing.assert_array_equal(bias(samples), bias.features(samples) @ w)
+            assert bias._grid_features[0] is grid.xs
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    samples=arrays(float, st.integers(2, 30), elements=st.floats(-20.0, 20.0)),
+    kind=st.sampled_from(["se", "imq"]),
+    bandwidth=st.one_of(st.none(), st.floats(0.05, 10.0)),
+    mean=st.floats(-5.0, 5.0),
+    sd=st.floats(0.2, 5.0),
+)
+def test_stein_kernel_matrix_is_symmetric(samples, kind, bandwidth, mean, sd):
+    kmat = stein_kernel_matrix(samples, samples, Gaussian(mean, sd), SteinKernelConfig(kind=kind, bandwidth=bandwidth))
+    # entries (i, j) and (j, i) add the two cross terms in opposite order
+    scale = float(np.abs(kmat).max())
+    np.testing.assert_allclose(kmat, kmat.T, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    h=st.floats(0.01, 10.0),
+    values=arrays(float, st.integers(2, 60), elements=st.floats(-1e6, 1e6)),
+)
+def test_grid_bias_returns_its_values_at_the_nodes(lo, h, values):
+    grid = GridFunction(lo, lo + (len(values) - 1) * h, h, values)
+    bias = GridBias(grid)
+    np.testing.assert_array_equal(bias(grid.xs), values)
+    # the MH loop evaluates one scalar at a time
+    assert [bias(x) for x in grid.xs.tolist()] == values.tolist()
 
 
 @settings(max_examples=50, deadline=None)
