@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -21,17 +21,46 @@ from rareebm.errors import EstimationError, NumericError
 _GUMBEL_SHAPE_TOL = 1e-8
 
 
+def _keeps_grid_values(pdf):
+    """Wrap a reference pdf so it keeps its values on the last read-only node array.
+
+    That array is the working grid's xs: training tabulates the reference
+    density there once and every free-energy readout needs the same values.
+    A read-only array cannot change behind the identity check, and the kept
+    values are handed out read-only, so no caller can alter them.
+    """
+
+    @wraps(pdf)
+    def pdf_on_nodes(self, r):
+        nodes, vals = self._grid_pdf
+        if r is nodes:
+            return vals
+        vals = pdf(self, r)
+        if isinstance(r, np.ndarray) and not r.flags.writeable and isinstance(vals, np.ndarray):
+            vals.flags.writeable = False
+            self._grid_pdf[:] = [r, vals]
+        return vals
+
+    return pdf_on_nodes
+
+
+def _grid_pdf_field():
+    return field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Gaussian reference density N(mean, sd^2)."""
 
     mean: float
     sd: float
+    _grid_pdf: list = _grid_pdf_field()  # [nodes, pdf(nodes)], see _keeps_grid_values
 
     def __post_init__(self):
         if self.sd <= 0:
             raise ValueError("sd must be positive")
 
+    @_keeps_grid_values
     def pdf(self, r):
         z = (np.asarray(r, dtype=float) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
@@ -67,6 +96,7 @@ class Gev:
     location: float
     scale: float
     shape: float = 0.0
+    _grid_pdf: list = _grid_pdf_field()  # [nodes, pdf(nodes)], see _keeps_grid_values
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -94,6 +124,7 @@ class Gev:
             t = np.where(base > 0, np.power(np.maximum(base, 1e-300), -1.0 / self.shape), np.nan)
         return t
 
+    @_keeps_grid_values
     def pdf(self, r):
         r = np.asarray(r, dtype=float)
         z = (r - self.location) / self.scale
@@ -199,8 +230,41 @@ class GridFunction:
         return int(np.clip(round((r - self.lo) / self.h), 0, len(self.values) - 1))
 
     def interp(self, r):
-        """Linear interpolation, constant beyond the grid edges."""
-        return np.interp(np.asarray(r, dtype=float), self.xs, self.values)
+        """Linear interpolation, constant beyond the grid edges.
+
+        A float r (one MH proposal) skips np.interp's Python wrapper: the
+        node comes from the equispaced spacing, checked against xs, and
+        np.interp's own formula is evaluated in floats, so the value is the
+        same bit for bit.
+        """
+        if not isinstance(r, float):
+            return np.interp(np.asarray(r, dtype=float), self.xs, self.values)
+        xs, fp = self.xs, self.values
+        last = len(fp) - 1
+        lo, hi = xs.item(0), xs.item(last)
+        if r <= lo:
+            return fp.item(0)
+        if r >= hi:
+            return fp.item(last)
+        if r != r:  # NaN
+            return r
+        # lo < r < hi: xs[j] <= r < xs[j + 1] after at most a step of correction.
+        j = min(int((r - lo) / ((hi - lo) / last)), last - 1)
+        while xs.item(j) > r:
+            j -= 1
+        while xs.item(j + 1) <= r:
+            j += 1
+        x0, y0 = xs.item(j), fp.item(j)
+        if x0 == r:
+            return y0
+        x1, y1 = xs.item(j + 1), fp.item(j + 1)
+        slope = (y1 - y0) / (x1 - x0)
+        res = slope * (r - x0) + y0
+        if res != res:  # np.interp's fallback when the slope overflows
+            res = slope * (r - x1) + y1
+            if res != res and y0 == y1:
+                res = y0
+        return res
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))

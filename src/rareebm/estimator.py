@@ -17,6 +17,11 @@ from rareebm.errors import EstimationError, NumericError
 
 # p_ref below this is treated as zero support; the bias is unidentifiable there.
 SUPPORT_EPS = 1e-300
+# A readout whose last EDGE_NODES grid nodes hold at least EDGE_SHARE of the
+# tail probability being read is flagged: the mass beyond hi, which the grid
+# drops, is then unlikely to be negligible.
+EDGE_NODES = 5
+EDGE_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -24,7 +29,6 @@ class FreeEnergyEstimate:
     free_energy: GridFunction
     support_mask: np.ndarray = field(repr=False)
     density: GridFunction  # normalized p_R on the grid
-    tail_warning: bool = False
 
 
 def free_energy_from_bias(
@@ -52,12 +56,10 @@ def free_energy_from_bias(
     dens /= total
     # Large finite stand-in outside the support keeps the grid finite.
     f_vals = np.where(mask, -(neg_f - shift), 750.0)
-    tail = dens[-5:].max() >= 1e-16 * dens.max()
     return FreeEnergyEstimate(
         free_energy=grid.with_values(f_vals),
         support_mask=mask,
         density=grid.with_values(dens),
-        tail_warning=bool(tail),
     )
 
 
@@ -68,3 +70,14 @@ def tail_probability(est: FreeEnergyEstimate, threshold: float) -> float:
         raise NumericError("threshold outside the working grid")
     p = grid_integral(g, max(threshold, g.lo), g.hi)
     return float(min(max(p, 0.0), 1.0))
+
+
+def truncated_tail(est: FreeEnergyEstimate, p_tail: float) -> bool:
+    """Whether the grid's upper edge may truncate the tail probability p_tail read from est.
+
+    True when the trapezoid mass on the last EDGE_NODES nodes is positive and
+    at least EDGE_SHARE of p_tail.
+    """
+    g = est.density
+    edge = float(np.trapezoid(g.values[-EDGE_NODES:], dx=g.h))
+    return edge > 0.0 and edge >= EDGE_SHARE * p_tail

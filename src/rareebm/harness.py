@@ -24,7 +24,7 @@ import numpy as np
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, TrainingError
-from rareebm.estimator import free_energy_from_bias, tail_probability
+from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import BiasedTarget, ChainConfig, Pcn, RandomWalk, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
@@ -277,7 +277,7 @@ class RunOutcome:
     stop_reason: str
     error: Optional[str] = None
     trace: Optional[list] = None
-    tail_warning: bool = False  # the final readout has mass at the grid's upper edge
+    tail_warning: bool = False  # a final readout may be truncated at the grid's upper edge (truncated_tail)
 
 
 def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator):
@@ -354,7 +354,8 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             # fixed point rather than averaging its exponential.
             window = [window[0].with_params(np.mean([b.params for b in window], axis=0))]
         ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
-        p_hats = [float(np.mean([tail_probability(e, t) for e in ests])) for t in thresholds]
+        tails = [[tail_probability(e, t) for e in ests] for t in thresholds]
+        p_hats = [float(np.mean(ps)) for ps in tails]
         return RunOutcome(
             run=run_index,
             p_hats=p_hats,
@@ -363,7 +364,7 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             steps=len(result.trace),
             stop_reason=result.stop_reason,
             trace=result.trace if cfg["output"]["traces"] else None,
-            tail_warning=any(e.tail_warning for e in ests),
+            tail_warning=any(truncated_tail(e, p) for ps in tails for e, p in zip(ests, ps)),
         )
     except (TrainingError, ArithmeticError) as exc:
         partial = getattr(exc, "result", None)

@@ -49,7 +49,7 @@ class RandomWalk:
     def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(log base density, r, theta) at the latent point x."""
         row = x[None, :]
-        return float(problem.log_target(row)[0]), float(problem.qoi(row)[0]), x
+        return problem.log_target(row).item(), problem.qoi(row).item(), x
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,10 @@ class Pcn:
 
     def evaluate(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(log likelihood, r, theta) at standard-normal coordinates u."""
-        theta = problem.from_standard_normal(u[None, :])[0]
-        row = theta[None, :]
-        r = float(problem.qoi(row)[0])
-        ll = 0.0 if problem.log_likelihood is None else float(problem.log_likelihood(row)[0])
-        return ll, r, theta
+        row = problem.from_standard_normal(u[None, :])
+        r = problem.qoi(row).item()
+        ll = 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item()
+        return ll, r, row[0]
 
 
 Proposal = RandomWalk | Pcn
@@ -172,41 +171,47 @@ def mh_run(
         if not math.isfinite(log_base):
             raise NumericError("initial point has non-finite base density")
         budget = 1
-    log_value = log_base - float(bias(r))
+    # Both biases return a float for a float r, as _no_bias does.
+    log_value = log_base - bias(r)
 
     d = problem.dim
-    total = cfg.total_steps
+    burn_in, thin, total = cfg.burn_in, cfg.thin, cfg.total_steps
     keep, scale = proposal.move(d)
+    # 1.0 * x == x exactly, so a move that keeps x (the random walk) skips the product.
+    shift_only = bool(np.all(np.equal(keep, 1.0)))
     if active is not None:
         mask = np.zeros(d)
         mask[active] = 1.0
         scale = scale * mask
+    evaluate = proposal.evaluate
+    isfinite = math.isfinite
 
     kept_theta = np.empty((cfg.n_keep, d))
     kept_r = np.empty(cfg.n_keep)
     n_kept = 0
+    next_kept = burn_in + thin - 1  # step index of the next thinned sample
     accepted_post = 0
 
     block = 1024
-    done = 0
-    while done < total:
-        m = min(block, total - done)
+    step_idx = 0
+    while step_idx < total:
+        m = min(block, total - step_idx)
         steps = scale * rng.standard_normal((m, d))
         log_unifs = np.log(rng.uniform(size=m)).tolist()
-        for i in range(m):
-            step_idx = done + i
-            x_prop = keep * x + steps[i]
-            base_prop, r_prop, theta_prop = proposal.evaluate(problem, x_prop)
-            value_prop = base_prop - float(bias(r_prop)) if math.isfinite(base_prop) else base_prop
+        for step, log_u in zip(steps, log_unifs):
+            x_prop = x + step if shift_only else keep * x + step
+            base_prop, r_prop, theta_prop = evaluate(problem, x_prop)
+            value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
             log_ratio = value_prop - log_value
-            if log_ratio >= 0.0 or log_unifs[i] < log_ratio:
+            if log_ratio >= 0.0 or log_u < log_ratio:
                 x, theta, r, log_base, log_value = x_prop, theta_prop, r_prop, base_prop, value_prop
-                accepted_post += step_idx >= cfg.burn_in
-            if step_idx >= cfg.burn_in and (step_idx - cfg.burn_in + 1) % cfg.thin == 0:
+                accepted_post += step_idx >= burn_in
+            if step_idx == next_kept:
                 kept_theta[n_kept] = theta
                 kept_r[n_kept] = r
                 n_kept += 1
-        done += m
+                next_kept += thin
+            step_idx += 1
     budget += total
 
     # Accepted points are fresh arrays that are never written to, so the

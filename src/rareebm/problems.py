@@ -6,8 +6,10 @@ four-branch function (traditional setting) and a load/capacity reliability
 problem with lognormal component capacities (inversion setting, 1-D
 quadrature oracle).
 
-All problem callables are vectorized: theta has shape (n, d) and the result
-shape (n,).
+All problem callables are vectorized: theta is a float array of shape (n, d)
+and the result has shape (n,). They do not promote other shapes; the MH
+kernel calls them on one (1, d) row per proposal, where every array call
+counts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from rareebm.errors import ConfigurationError
 from rareebm.gchi2 import gaussian_quadratic_tail
 
 _EULER_GAMMA = 0.5772156649015329
+# Smallest positive double. Clamping capacities to it before the log keeps
+# every positive capacity as it is and gives a finite stand-in elsewhere, so
+# no floating-point warning fires where np.where then puts -inf.
+_TINY = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -135,30 +141,32 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
     noise_cov = spec.noise_sd**2 * np.eye(len(measured))
     post_mean, post_cov = conjugate_gaussian_posterior(prior_mean, prior_cov, obs, noise_cov, data)
 
-    inv_var = 1.0 / spec.prior_sd**2
+    # Every proposal calls these on one (1, m) row, so the constants are
+    # bound once and the rows are gathered with take, which gives the same
+    # values as fancy indexing at a third of its per-call cost.
+    mean = spec.prior_mean
+    prior_scale = -0.5 * (1.0 / spec.prior_sd**2)
     noise_var = spec.noise_sd**2
 
     def log_prior(theta):
-        theta = np.atleast_2d(theta)
-        diff = theta - spec.prior_mean
-        return -0.5 * inv_var * np.einsum("ij,ij->i", diff, diff)
+        diff = theta - mean
+        return prior_scale * np.einsum("ij,ij->i", diff, diff)
 
     def log_likelihood(theta):
-        theta = np.atleast_2d(theta)
-        if len(measured) == 0:
-            return np.zeros(theta.shape[0])
-        resid = theta[:, measured] - data
+        resid = theta.take(measured, axis=1) - data
         return -0.5 * np.einsum("ij,ij->i", resid, resid) / noise_var
 
+    def no_data(theta):
+        return np.zeros(theta.shape[0])
+
     def qoi(theta):
-        theta = np.atleast_2d(theta)
         return np.einsum("ij,ij->i", theta, theta)
 
     problem = TargetProblem(
         dim=m,
         log_prior=log_prior,
         qoi=qoi,
-        log_likelihood=log_likelihood,
+        log_likelihood=log_likelihood if len(measured) else no_data,
         sample_prior=lambda g, n: g.normal(spec.prior_mean, spec.prior_sd, size=(n, m)),
         init_point=post_mean.copy(),
     )
@@ -201,7 +209,6 @@ def four_branch(theta) -> np.ndarray:
 
 def four_branch_problem() -> TargetProblem:
     def log_prior(theta):
-        theta = np.atleast_2d(theta)
         return -0.5 * np.einsum("ij,ij->i", theta, theta)
 
     return TargetProblem(
@@ -293,32 +300,28 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
     sy2 = spec.sigma_y**2
 
     def log_prior(theta):
-        theta = np.atleast_2d(theta)
         load, comps = theta[:, 0], theta[:, 1:]
         z = (load - loc) / scale
         lp = -math.log(scale) - z - np.exp(-z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logc = np.log(comps)
-            comp_lp = -logc - 0.5 * ((logc - mu_i) / sd_i) ** 2 - math.log(sd_i * math.sqrt(2 * math.pi))
+        logc = np.log(np.maximum(comps, _TINY))
+        comp_lp = -logc - 0.5 * ((logc - mu_i) / sd_i) ** 2 - math.log(sd_i * math.sqrt(2 * math.pi))
         comp_lp = np.where(comps > 0, comp_lp, -np.inf)
         return lp + comp_lp.sum(axis=1)
 
     def log_likelihood(theta):
-        theta = np.atleast_2d(theta)
         comps = theta[:, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = log_y - np.log(comps)
-            ll = -0.5 * (resid * resid).sum(axis=1) / sy2
+        resid = log_y - np.log(np.maximum(comps, _TINY))
+        ll = -0.5 * (resid * resid).sum(axis=1) / sy2
         return np.where((comps > 0).all(axis=1), ll, -np.inf)
 
     def qoi(theta):
-        theta = np.atleast_2d(theta)
         return theta[:, 0] - np.exp(np.log(theta[:, 1:]).sum(axis=1))
 
     def from_u(u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
         theta = np.empty_like(u)
-        theta[:, 0] = loc - scale * np.log(-np.log(np.clip(ndtr(u[:, 0]), 1e-300, 1.0 - 1e-16)))
+        # np.minimum(np.maximum(..)) gives np.clip's values without its Python wrapper.
+        cdf = np.minimum(np.maximum(ndtr(u[:, 0]), 1e-300), 1.0 - 1e-16)
+        theta[:, 0] = loc - scale * np.log(-np.log(cdf))
         theta[:, 1:] = np.exp(mu_i + sd_i * u[:, 1:])
         return theta
 

@@ -190,6 +190,7 @@ def train_bias_potential(
     is_grid = isinstance(bias, GridBias)
     p_ref_grid = grid.with_values(np.asarray(p_ref.pdf(grid.xs), dtype=float))
     kernel = cfg.stopping.kernel if cfg.stopping else SteinKernelConfig()
+    support_lo, support_hi = p_ref.support()
     sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
     recent: list[BiasPotential] = []
@@ -244,9 +245,15 @@ def train_bias_potential(
         est = free_energy_from_bias(bias, p_ref, grid)
         p_hat = tail_probability(est, query.threshold)
         kl = estimate_kl(p_ref_grid, p_v_kde) if (cfg.track_kl and p_v_kde is not None) else None
-        # One Stein kernel matrix serves the traced KSD and the stopping test.
-        kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
-        ksd_val = ksd_statistic(s_samples, p_ref, kernel, kmat=kmat)
+        if np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi):
+            # The score, and with it the Stein kernel, is undefined outside a
+            # bounded support: the trace records a non-finite KSD and the
+            # stopping test counts the iteration as a rejection.
+            kmat, ksd_val = None, math.nan
+        else:
+            # One Stein kernel matrix serves the traced KSD and the stopping test.
+            kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
+            ksd_val = ksd_statistic(s_samples, p_ref, kernel, kmat=kmat)
         trace.append(
             TrainRecord(
                 iteration=it,
@@ -258,7 +265,7 @@ def train_bias_potential(
             )
         )
 
-        if cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps:
+        if cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps and kmat is not None:
             outcome = wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng, kmat=kmat)
             if not outcome.reject:
                 stop_reason = "ksd"

@@ -5,7 +5,7 @@ from scipy import stats
 from rareebm.bias import GridBias
 from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import NumericError
-from rareebm.estimator import free_energy_from_bias, tail_probability
+from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 
 
 @pytest.fixture
@@ -21,12 +21,25 @@ class TestFreeEnergy:
 
     def test_tail_warning_for_mass_at_the_upper_edge(self, grid):
         est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(7.0, 1.0), grid)
-        assert est.tail_warning is True
+        assert truncated_tail(est, tail_probability(est, 5.0)) is True
+
+    def test_tail_warning_for_a_bias_piling_mass_at_the_edge(self, grid):
+        # p_ref is negligible at hi, but V rises steeply toward it
+        v = np.where(grid.xs > 6.0, 40.0 * (grid.xs - 6.0), 0.0)
+        est = free_energy_from_bias(GridBias(grid.with_values(v)), Gaussian(0.0, 1.0), grid)
+        assert truncated_tail(est, tail_probability(est, 3.0)) is True
 
     def test_no_tail_warning_well_inside_the_grid(self, grid):
         # the upper edge is 16 sd out: density there is exp(-128) of the peak
         est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(0.0, 0.5), grid)
-        assert est.tail_warning is False
+        assert truncated_tail(est, tail_probability(est, 1.0)) is False
+
+    def test_no_tail_warning_for_a_small_edge_density_under_a_large_tail(self, grid):
+        # the density at hi is 1e-6 of its peak, as for a right-skewed
+        # reference, but the tail read from threshold 0 is about one half
+        est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(0.0, 8.0 / 5.26), grid)
+        assert est.density.values[-1] > 1e-7 * est.density.values.max()
+        assert truncated_tail(est, tail_probability(est, 0.0)) is False
 
     def test_optimal_bias_recovers_target(self, grid):
         # V = -F - log p_ref reconstructs p_R exactly

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
-from rareebm.densities import Gaussian, GridFunction
+from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.harness import load_config
 from rareebm.ksd import SteinKernelConfig, stein_kernel_matrix
@@ -26,6 +27,8 @@ from rareebm.mcmc import (
     tune_pcn_beta,
     tune_step_sizes,
 )
+from rareebm.problems import ContaminationSpec, LoadCapacitySpec, RareEventQuery, contamination_problem, load_capacity_problem
+from rareebm.subset import _MAX_LEVELS, AdaptiveSchedule, FixedLogSchedule, SubsetConfig, subset_estimate
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -122,6 +125,120 @@ def test_grid_bias_returns_its_values_at_the_nodes(lo, h, values):
     np.testing.assert_array_equal(bias(grid.xs), values)
     # the MH loop evaluates one scalar at a time
     assert [bias(x) for x in grid.xs.tolist()] == values.tolist()
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    h=st.floats(1e-3, 10.0),
+    n=st.integers(2, 2001),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+    seed=seeds,
+    k=st.integers(0, 2000),
+    u=st.floats(-0.25, 1.25),
+)
+def test_scalar_grid_bias_is_np_interp_bit_for_bit(lo, h, n, scale, seed, k, u):
+    values = scale * np.random.default_rng(seed).standard_normal(n)
+    grid = GridFunction(lo, lo + (n - 1) * h, h, values)
+    bias = GridBias(grid)
+    xs = grid.xs
+    k %= n
+    edges = [xs[0], xs[-1]]
+    points = [
+        xs[k],
+        lo + k * h,  # a hair off the node where linspace rounds differently
+        np.nextafter(xs[k], -math.inf),
+        np.nextafter(xs[k], math.inf),
+        *edges,
+        *(np.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)),
+        xs[0] + u * (xs[-1] - xs[0]),  # interior, or beyond either edge
+        math.nan,
+    ]
+    for x in map(float, points):
+        got = bias(x)
+        assert type(got) is float
+        assert _same(got, float(np.interp(x, xs, values))), x
+
+
+def _closure_rows(problem, theta):
+    calls = [problem.log_prior, problem.log_likelihood, problem.qoi]
+    if problem.from_standard_normal is not None:
+        calls.append(problem.from_standard_normal)
+    for f in calls:
+        batched = f(theta)
+        for i in range(len(theta)):
+            np.testing.assert_array_equal(f(theta[i : i + 1])[0], batched[i])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), spread=st.floats(0.01, 10.0), seed=seeds)
+def test_contamination_closures_on_one_row_equal_the_batched_row(n, spread, seed):
+    problem = contamination_problem(ContaminationSpec()).problem
+    theta = 1.0 + spread * np.random.default_rng(seed).standard_normal((n, problem.dim))
+    _closure_rows(problem, theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), n_components=st.sampled_from([1, 10, 100]), spread=st.floats(0.01, 10.0), seed=seeds)
+def test_load_capacity_closures_on_one_row_equal_the_batched_row(n, n_components, spread, seed):
+    problem = load_capacity_problem(LoadCapacitySpec(n_components=n_components)).problem
+    rng = np.random.default_rng(seed)
+    u = spread * rng.standard_normal((n, problem.dim))
+    theta = problem.from_standard_normal(u)
+    # a capacity at or below zero lies outside the prior's support
+    theta[rng.random(theta.shape) < 0.05] *= -1.0
+    theta[rng.random(theta.shape) < 0.02] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # qoi takes the log of every capacity
+        _closure_rows(problem, theta)
+    for i in range(n):
+        np.testing.assert_array_equal(problem.from_standard_normal(u[i : i + 1])[0], problem.from_standard_normal(u)[i])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=arrays(float, 161, elements=st.floats(-30.0, 30.0)),
+    ref=st.sampled_from([Gaussian(0.0, 1.5), Gaussian(3.0, 0.4), Gev(0.0, 1.0, 0.0), Gev(-1.0, 1.0, 0.5)]),
+)
+def test_readout_density_integrates_to_one(values, ref):
+    grid = GridFunction.zeros(-4.0, 4.0, 0.05)
+    est = free_energy_from_bias(GridBias(grid.with_values(values)), ref, grid)
+    assert np.trapezoid(est.density.values, dx=grid.h) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=arrays(float, st.integers(2, 300), elements=st.floats(0.0, 1e6)),
+    h=st.floats(1e-3, 10.0),
+)
+def test_grid_normalize_integrates_to_one(values, h):
+    values[0] += 1.0  # a positive total
+    g = grid_normalize(GridFunction(0.0, (len(values) - 1) * h, h, values))
+    assert np.trapezoid(g.values, dx=g.h) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    adaptive=st.booleans(),
+    p0=st.floats(0.05, 0.5),
+    start=st.floats(-3.0, 3.0),
+    n_levels=st.integers(1, 12),
+    final=st.floats(-2.0, 3.5),
+    seed=seeds,
+)
+def test_subset_ladder_rises_to_the_final_threshold(adaptive, p0, start, n_levels, final, seed):
+    schedule = AdaptiveSchedule(p0) if adaptive else FixedLogSchedule(start=start, n_levels=n_levels)
+    cfg = SubsetConfig(n_samples=50, mh_steps_per_seed=2, schedule=schedule)
+    res = subset_estimate(scalar_normal_problem(), RareEventQuery(final), cfg, np.random.default_rng(seed))
+    ladder = [lev.threshold for lev in res.levels]
+    assert all(a <= b for a, b in zip(ladder, ladder[1:]))
+    if not res.level_failure:
+        assert ladder[-1] == final
+    else:  # no sample survived a level, or the ladder stalled below the final threshold
+        assert ladder[-1] <= final and (res.p_hat == 0.0 or len(ladder) == _MAX_LEVELS + 1)
 
 
 @settings(max_examples=50, deadline=None)
