@@ -11,6 +11,7 @@ values embedded for comparison.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -344,6 +345,8 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
 
         # EBM path
         p_ref, bias, grid, train_cfg = _ebm_setup(mcfg)
+        # The per-iteration kl, ksd and p_hat only feed the trace files.
+        train_cfg = dataclasses.replace(train_cfg, diagnostics=cfg["output"]["traces"])
         proposal, tuning_budget = _tuned_proposal(mcfg, bundle, rng)
         query = RareEventQuery(thresholds[0])
         result = train_bias_potential(bundle.problem, query, p_ref, bias, train_cfg, proposal, grid, rng)

@@ -74,6 +74,28 @@ def median_heuristic_bandwidth(samples: np.ndarray) -> float:
     return max(med, _BANDWIDTH_FLOOR)
 
 
+def _self_median_heuristic_bandwidth(x: np.ndarray) -> float:
+    """median_heuristic_bandwidth(np.concatenate([x, x])), bit for bit, without the doubled set.
+
+    The distinct-pair distances of the doubled set are n zeros (each sample
+    against its copy) and each of x's n(n-1)/2 distinct-pair distances four
+    times, so each order statistic that np.median takes is 0 or an order
+    statistic of x's own distances.
+    """
+    n = len(x)
+    if n < 2 or not np.all(np.isfinite(x)):  # a non-finite sample makes the median NaN
+        return median_heuristic_bandwidth(np.concatenate([x, x]))
+    total = n * (2 * n - 1)
+    ranks = (total // 2,) if total % 2 else (total // 2 - 1, total // 2)
+    # Rank k of the doubled set is 0 below n, else rank (k - n) // 4 of x's distances.
+    kth = [(k - n) // 4 for k in ranks if k >= n]
+    i, j = np.triu_indices(n, k=1)
+    d = np.partition(np.abs(x[i] - x[j]), kth)
+    mids = [0.0 if k < n else float(d[(k - n) // 4]) for k in ranks]
+    med = mids[0] if len(mids) == 1 else (mids[0] + mids[1]) / 2.0
+    return max(med, _BANDWIDTH_FLOOR)
+
+
 def _base_kernel_terms(r: np.ndarray, s: np.ndarray, cfg: SteinKernelConfig, bandwidth: float):
     """k, dk/dr, dk/ds and d2k/drds on the meshgrid of r (rows) and s (cols)."""
     diff = r[:, None] - s[None, :]
@@ -101,11 +123,17 @@ def stein_kernel_matrix(
     cfg: SteinKernelConfig = SteinKernelConfig(),
     bandwidth: float | None = None,
 ) -> np.ndarray:
-    """Stein kernel k_p(r_i, s_j) built from the base kernel and the score."""
+    """Stein kernel k_p(r_i, s_j) built from the base kernel and the score.
+
+    The default bandwidth is the median heuristic over r and s together.
+    """
+    same = r is s
     r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
+    s = r if same else np.asarray(s, dtype=float)
     if bandwidth is None:
-        bandwidth = cfg.bandwidth if cfg.bandwidth is not None else median_heuristic_bandwidth(np.concatenate([r, s]))
+        bandwidth = cfg.bandwidth
+    if bandwidth is None:
+        bandwidth = _self_median_heuristic_bandwidth(r) if same else median_heuristic_bandwidth(np.concatenate([r, s]))
     score_r = np.asarray(p_ref.score(r), dtype=float)
     score_s = np.asarray(p_ref.score(s), dtype=float)
     k, dk_dr, dk_ds, d2k = _base_kernel_terms(r, s, cfg, bandwidth)
@@ -173,7 +201,11 @@ def wild_bootstrap_test(
     s_obs = float(kmat.sum()) / n**2
     flips = rng.random((test_cfg.n_boot, n)) < test_cfg.a_bs
     flips[:, 0] = False
-    w = np.cumprod(np.where(flips, -1.0, 1.0), axis=1)
+    # W_j = (-1)^(flips up to j) = 1 - 2 * (parity of the flips up to j),
+    # formed in place: a bool-to-float product is numpy's slow mixed-type loop.
+    w = np.logical_xor.accumulate(flips, axis=1).astype(float)
+    w *= -2.0
+    w += 1.0
     s_boot = np.einsum("bi,ij,bj->b", w, kmat, w, optimize=True) / n**2
     p_value = (1.0 + int(np.sum(s_boot >= s_obs))) / (test_cfg.n_boot + 1.0)
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)

@@ -315,7 +315,9 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
         return np.where((comps > 0).all(axis=1), ll, -np.inf)
 
     def qoi(theta):
-        return theta[:, 0] - np.exp(np.log(theta[:, 1:]).sum(axis=1))
+        # A row with a capacity <= 0 lies outside the prior (log_target is
+        # -inf there); the clamp keeps its r finite and silent.
+        return theta[:, 0] - np.exp(np.log(np.maximum(theta[:, 1:], _TINY)).sum(axis=1))
 
     def from_u(u):
         theta = np.empty_like(u)

@@ -2,10 +2,11 @@
 
 Each iteration draws chain samples of R under the current bias, forms the
 KL gradient (sample-based for the RBF form, density-difference for the grid
-form), applies an SGDM update and records diagnostics. Training stops at
+form), applies an SGDM update and records the iteration. Training stops at
 the step limit or, when enabled, as soon as the wild-bootstrap KSD test no
 longer rejects agreement between the chain samples and the reference
-density.
+density. The per-iteration diagnostics (the KL estimate, the KSD and the
+tail readout) are computed only when the config asks for them.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class TrainConfig:
     momentum_weight: float = 0.5
     stopping: Optional[KsdStopping] = None
     track_kl: bool = True
+    # Compute the per-iteration kl, ksd and p_hat of the trace; off, the trace
+    # records None for them and training skips their KDE, Stein matrix and
+    # readout wherever the update and the stopping test do not need them.
+    diagnostics: bool = True
     keep_last_biases: int = 10  # window for averaged tail estimates
     grad_clip: Optional[float] = None  # componentwise gradient magnitude cap
     kde_bandwidth: Optional[float] = None  # fixed KDE bandwidth (None: data-driven)
@@ -112,8 +117,8 @@ class TrainConfig:
 class TrainRecord:
     iteration: int
     kl: Optional[float]
-    ksd: float
-    p_hat: float
+    ksd: Optional[float]  # NaN when a sample lies outside p_ref's support
+    p_hat: Optional[float]  # kl, ksd and p_hat are None with TrainConfig.diagnostics off
     budget: int  # cumulative forward evaluations
     acceptance: float
 
@@ -200,6 +205,7 @@ def train_bias_potential(
     if cfg.max_steps == 0:
         return TrainResult(bias=bias, trace=trace, budget=0, stop_reason="max_steps", recent_biases=[bias])
 
+    track_kl = cfg.diagnostics and cfg.track_kl
     start = problem.init_point if init_point is None else np.asarray(init_point, dtype=float)
     if start is None:
         raise TrainingError("no chain start point available")
@@ -213,7 +219,7 @@ def train_bias_potential(
         s_samples = res.rs
 
         p_v_kde = None
-        if is_grid or cfg.track_kl:
+        if is_grid or track_kl:
             try:
                 p_v_kde = grid_normalize(kde_gaussian(s_samples, grid, bandwidth=cfg.kde_bandwidth))
             except EstimationError:
@@ -242,18 +248,20 @@ def train_bias_potential(
             err.result = result
             raise err
 
-        est = free_energy_from_bias(bias, p_ref, grid)
-        p_hat = tail_probability(est, query.threshold)
-        kl = estimate_kl(p_ref_grid, p_v_kde) if (cfg.track_kl and p_v_kde is not None) else None
-        if np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi):
+        p_hat = kl = ksd_val = kmat = None
+        if cfg.diagnostics:
+            p_hat = tail_probability(free_energy_from_bias(bias, p_ref, grid), query.threshold)
+            if track_kl and p_v_kde is not None:
+                kl = estimate_kl(p_ref_grid, p_v_kde)
+        testing = cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps
+        if (cfg.diagnostics or testing) and not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi)):
+            # One Stein kernel matrix serves the traced KSD and the stopping test.
+            kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
+        if cfg.diagnostics:
             # The score, and with it the Stein kernel, is undefined outside a
             # bounded support: the trace records a non-finite KSD and the
             # stopping test counts the iteration as a rejection.
-            kmat, ksd_val = None, math.nan
-        else:
-            # One Stein kernel matrix serves the traced KSD and the stopping test.
-            kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
-            ksd_val = ksd_statistic(s_samples, p_ref, kernel, kmat=kmat)
+            ksd_val = math.nan if kmat is None else ksd_statistic(s_samples, p_ref, kernel, kmat=kmat)
         trace.append(
             TrainRecord(
                 iteration=it,
@@ -265,7 +273,7 @@ def train_bias_potential(
             )
         )
 
-        if cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps and kmat is not None:
+        if testing and kmat is not None:
             outcome = wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng, kmat=kmat)
             if not outcome.reject:
                 stop_reason = "ksd"

@@ -245,3 +245,37 @@ def test_table_registry_configs_load():
             ) as path:
                 cfg = load_config(path)
             assert cfg["runs"]["n_runs"] == 50
+
+
+def _shipped_replicate(name, out_dir, traces):
+    """One replicate (RNG seed 1000) of a shipped config, written to out_dir."""
+    from importlib import resources
+
+    with resources.as_file(resources.files("rareebm") / "configs" / f"{name}.json") as path:
+        cfg = load_config(path)
+    cfg["runs"]["n_runs"] = 1
+    cfg["runs"]["base_seed"] = 1000
+    cfg["output"] = {"dir": str(out_dir), "traces": traces}
+    run_experiment(cfg)
+    return out_dir
+
+
+# RBF form with stopping off, and grid form with KSD stopping: training skips
+# the trace-only readout, KL estimate and Stein matrix when traces are off
+@pytest.mark.parametrize("config", ["load_capacity_10_rbf", "contamination_ebm_nonpar"])
+def test_traces_leave_runs_csv_unchanged(config, tmp_path):
+    plain = _shipped_replicate(config, tmp_path / "plain", traces=False)
+    traced = _shipped_replicate(config, tmp_path / "traced", traces=True)
+    assert not list(plain.glob("trace_*.csv")) and (traced / "trace_0.csv").exists()
+    assert (plain / "runs.csv").read_bytes() == (traced / "runs.csv").read_bytes()
+
+
+def test_trace_csv_fingerprint(tmp_path):
+    # kl (the RBF form's own KDE), ksd (median-heuristic Stein kernel of a
+    # Gumbel reference) and p_hat of every iteration; the digest was taken
+    # before training skipped the diagnostics that traces do not ask for
+    import hashlib
+
+    out = _shipped_replicate("load_capacity_10_rbf", tmp_path, traces=True)
+    digest = hashlib.sha256((out / "trace_0.csv").read_bytes()).hexdigest()
+    assert digest == "1c63f7de779ab60eed2868b9e680d198fcae2f168b7380f67611db9d7a5298f2"

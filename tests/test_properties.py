@@ -6,16 +6,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
-from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize
+from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.harness import load_config
-from rareebm.ksd import SteinKernelConfig, stein_kernel_matrix
+from rareebm.ksd import (
+    KsdTestConfig,
+    KsdTestResult,
+    SteinKernelConfig,
+    _self_median_heuristic_bandwidth,
+    stein_kernel_matrix,
+    wild_bootstrap_test,
+)
 from rareebm.mcmc import (
     _STEP_CAP,
     _STEP_FLOOR,
@@ -131,6 +138,92 @@ def _same(a, b) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _doubled_median_bandwidth(x):
+    """The median heuristic over concatenate([x, x]), formed pair by pair."""
+    both = np.concatenate([x, x])
+    d = np.abs(both[:, None] - both[None, :])
+    return max(float(np.median(d[np.triu_indices(len(both), k=1)])), 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=arrays(float, st.integers(2, 60), elements=st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))),
+    nan_at=st.one_of(st.none(), st.integers(0, 59)),
+)
+@example(x=np.array([1.0, 3.0]), nan_at=None)  # n = 2: n(2n - 1) = 6 pairs, even
+@example(x=np.array([1.0, 3.0, 3.0]), nan_at=None)  # a tie; 15 pairs, odd
+@example(x=np.array([1.0, 1.0, 1.0, 1.0]), nan_at=None)  # all tied: the floor
+# n = 8 (120 pairs): the two middle ranks fall on different distances of x,
+# which needs n a multiple of 8
+@example(x=np.array([0.0, 1.0, 3.0, 7.0, 12.0, 20.0, 31.0, 45.0]), nan_at=None)
+@example(x=np.array([1.0, 3.0, 4.0]), nan_at=1)
+def test_self_pair_bandwidth_is_the_doubled_set_median(x, nan_at):
+    if nan_at is not None:
+        x[nan_at % len(x)] = math.nan
+    assert _same(_self_median_heuristic_bandwidth(x), _doubled_median_bandwidth(x))
+    # stein_kernel_matrix(x, x) takes the shortcut, a copy of x the doubled set
+    p_ref = Gaussian(0.0, 3.0)
+    np.testing.assert_array_equal(stein_kernel_matrix(x, x, p_ref), stein_kernel_matrix(x, x.copy(), p_ref))
+
+
+def _kde_reference(samples, grid, bandwidth):
+    """kde_gaussian's values as one node-by-sample array expression."""
+    if bandwidth is None:
+        bandwidth = nrd_bandwidth(samples)
+    z = (grid.xs[:, None] - samples[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_nodes=st.integers(2, 3000),
+    n=st.integers(2, 300),
+    center=st.floats(-1.5, 1.5),
+    spread=st.floats(1e-3, 30.0),
+    bandwidth=st.one_of(st.none(), st.floats(1e-3, 30.0)),
+    seed=seeds,
+)
+# 2001 nodes and 125 samples, as in contamination_ebm_nonpar (30 blocks of 65
+# nodes and one of 51): a data-driven bandwidth of 2.4 computes every node, a
+# fixed 0.3 skips 810 nodes below the samples and 608 above them
+@example(n_nodes=2001, n=125, center=0.1, spread=7.0, bandwidth=None, seed=1)
+@example(n_nodes=2001, n=125, center=0.1, spread=7.0, bandwidth=0.3, seed=2)
+@example(n_nodes=7, n=3, center=0.0, spread=1.0, bandwidth=25.0, seed=3)  # one partial block, nothing skipped
+def test_kde_is_the_one_array_expression_bit_for_bit(n_nodes, n, center, spread, bandwidth, seed):
+    grid = GridFunction.zeros(-100.0, 100.0, 200.0 / (n_nodes - 1))
+    samples = 100.0 * center + spread * np.random.default_rng(seed).standard_normal(n)
+    np.testing.assert_array_equal(kde_gaussian(samples, grid, bandwidth).values, _kde_reference(samples, grid, bandwidth))
+
+
+def _wild_bootstrap_reference(kmat, test_cfg, rng):
+    """wild_bootstrap_test with the sign chain as a running product of the +-1 steps."""
+    n = len(kmat)
+    s_obs = float(kmat.sum()) / n**2
+    flips = rng.random((test_cfg.n_boot, n)) < test_cfg.a_bs
+    flips[:, 0] = False
+    w = np.cumprod(np.where(flips, -1.0, 1.0), axis=1)
+    s_boot = np.einsum("bi,ij,bj->b", w, kmat, w, optimize=True) / n**2
+    p_value = (1.0 + int(np.sum(s_boot >= s_obs))) / (test_cfg.n_boot + 1.0)
+    return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    shift=st.floats(0.0, 1.5),
+    a_bs=st.floats(0.01, 0.5),
+    n_boot=st.integers(1, 400),
+    seed=seeds,
+)
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=1000, seed=7)  # the shipped test settings
+def test_wild_bootstrap_result_is_the_cumprod_chain_result(n, shift, a_bs, n_boot, seed):
+    samples = shift + np.random.default_rng(seed).standard_normal(n)
+    p_ref, kernel, test_cfg = Gaussian(0.0, 1.0), SteinKernelConfig(), KsdTestConfig(a_bs=a_bs, n_boot=n_boot)
+    kmat = stein_kernel_matrix(samples, samples, p_ref, kernel)
+    got = wild_bootstrap_test(samples, p_ref, kernel, test_cfg, np.random.default_rng(seed + 1), kmat=kmat)
+    assert got == _wild_bootstrap_reference(kmat, test_cfg, np.random.default_rng(seed + 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     lo=st.floats(-100.0, 100.0),
@@ -182,6 +275,7 @@ def test_contamination_closures_on_one_row_equal_the_batched_row(n, spread, seed
     _closure_rows(problem, theta)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 40), n_components=st.sampled_from([1, 10, 100]), spread=st.floats(0.01, 10.0), seed=seeds)
 def test_load_capacity_closures_on_one_row_equal_the_batched_row(n, n_components, spread, seed):
@@ -192,8 +286,7 @@ def test_load_capacity_closures_on_one_row_equal_the_batched_row(n, n_components
     # a capacity at or below zero lies outside the prior's support
     theta[rng.random(theta.shape) < 0.05] *= -1.0
     theta[rng.random(theta.shape) < 0.02] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # qoi takes the log of every capacity
-        _closure_rows(problem, theta)
+    _closure_rows(problem, theta)
     for i in range(n):
         np.testing.assert_array_equal(problem.from_standard_normal(u[i : i + 1])[0], problem.from_standard_normal(u)[i])
 

@@ -202,6 +202,26 @@ class TestTraining:
         assert res.stop_reason == "ksd"
         assert len(res.trace) < 50
 
+    @pytest.mark.parametrize("form", ["grid", "rbf"])
+    def test_diagnostics_off_trains_the_same_potential(self, form):
+        # the records lose kl, ksd and p_hat; the updates, the stopping test
+        # and the random streams stay as they were
+        problem, p_ref, grid, bias = self._setup()
+        if form == "rbf":
+            bias = RbfBias.zero(40, -8.0, 8.0, 1.0)
+        from rareebm.problems import RareEventQuery
+        on, off = (
+            train_bias_potential(problem, RareEventQuery(1.0), p_ref, bias,
+                                 self._cfg(max_steps=40, stopping=KsdStopping(min_steps=8), diagnostics=diagnostics),
+                                 RandomWalk(np.array([2.4])), grid, np.random.default_rng(5))
+            for diagnostics in (True, False)
+        )
+        assert on.stop_reason == off.stop_reason and len(on.trace) == len(off.trace)
+        np.testing.assert_array_equal(on.bias.params, off.bias.params)
+        assert [(r.budget, r.acceptance) for r in on.trace] == [(r.budget, r.acceptance) for r in off.trace]
+        assert all(r.kl is not None and r.ksd is not None and r.p_hat is not None for r in on.trace)
+        assert all(r.kl is None and r.ksd is None and r.p_hat is None for r in off.trace)
+
     def test_divergence_raises_with_partial_result(self, rng):
         problem, p_ref, grid, bias = self._setup()
         from rareebm.problems import RareEventQuery
