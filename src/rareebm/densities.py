@@ -1,7 +1,7 @@
 """Analytic 1-D reference densities and kernel density estimation on grids.
 
-The reference densities (Gaussian and generalized extreme value) expose pdf,
-log-pdf, score (derivative of the log-pdf) and inverse-CDF sampling. Grid
+The reference densities (Gaussian and generalized extreme value) expose the
+pdf, the score (derivative of the log-pdf), the support and sampling. Grid
 functions carry tabulated 1-D functions on an equispaced grid and provide
 trapezoid integration.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -27,62 +27,23 @@ _KDE_CUTOFF = 40.0
 _KDE_BLOCK_BYTES = 1 << 16
 
 
-def _keeps_grid_values(pdf):
-    """Wrap a reference pdf so it keeps its values on the last read-only node array.
-
-    That array is the working grid's xs: training tabulates the reference
-    density there once and every free-energy readout needs the same values.
-    A read-only array cannot change behind the identity check, and the kept
-    values are handed out read-only, so no caller can alter them.
-    """
-
-    @wraps(pdf)
-    def pdf_on_nodes(self, r):
-        nodes, vals = self._grid_pdf
-        if r is nodes:
-            return vals
-        vals = pdf(self, r)
-        if isinstance(r, np.ndarray) and not r.flags.writeable and isinstance(vals, np.ndarray):
-            vals.flags.writeable = False
-            self._grid_pdf[:] = [r, vals]
-        return vals
-
-    return pdf_on_nodes
-
-
-def _grid_pdf_field():
-    return field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """Gaussian reference density N(mean, sd^2)."""
 
     mean: float
     sd: float
-    _grid_pdf: list = _grid_pdf_field()  # [nodes, pdf(nodes)], see _keeps_grid_values
 
     def __post_init__(self):
         if self.sd <= 0:
             raise ValueError("sd must be positive")
 
-    @_keeps_grid_values
     def pdf(self, r):
         z = (np.asarray(r, dtype=float) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
-    def log_pdf(self, r):
-        z = (np.asarray(r, dtype=float) - self.mean) / self.sd
-        return -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2.0 * math.pi)
-
     def score(self, r):
         return -(np.asarray(r, dtype=float) - self.mean) / self.sd**2
-
-    def cdf(self, r):
-        z = (np.asarray(r, dtype=float) - self.mean) / (self.sd * math.sqrt(2.0))
-        from scipy.special import erf
-
-        return 0.5 * (1.0 + erf(z))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.sd, size=n)
@@ -102,7 +63,6 @@ class Gev:
     location: float
     scale: float
     shape: float = 0.0
-    _grid_pdf: list = _grid_pdf_field()  # [nodes, pdf(nodes)], see _keeps_grid_values
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -130,7 +90,6 @@ class Gev:
             t = np.where(base > 0, np.power(np.maximum(base, 1e-300), -1.0 / self.shape), np.nan)
         return t
 
-    @_keeps_grid_values
     def pdf(self, r):
         r = np.asarray(r, dtype=float)
         z = (r - self.location) / self.scale
@@ -147,10 +106,6 @@ class Gev:
             return float(val)
         return val
 
-    def log_pdf(self, r):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf(r))
-
     def score(self, r):
         r = np.asarray(r, dtype=float)
         lo, hi = self.support()
@@ -164,12 +119,6 @@ class Gev:
         if np.ndim(r) == 0:
             return float(val)
         return val
-
-    def cdf(self, r):
-        t = self._t(np.asarray(r, dtype=float))
-        lo, _ = self.support()
-        out = np.where(np.isnan(t), np.where(np.asarray(r) <= lo, 0.0, 1.0), np.exp(-np.where(np.isnan(t), 0.0, t)))
-        return out
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -203,11 +152,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, lo, hi, h, fn) -> "GridFunction":
-        xs = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-        return cls(lo, hi, h, np.asarray(fn(xs), dtype=float))
 
     @classmethod
     def zeros(cls, lo, hi, h) -> "GridFunction":

@@ -27,7 +27,7 @@ from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
-from rareebm.mcmc import BiasedTarget, ChainConfig, Pcn, RandomWalk, tune_pcn_beta, tune_step_sizes
+from rareebm.mcmc import ChainConfig, Pcn, RandomWalk, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
     ContaminationSpec,
     LoadCapacitySpec,
@@ -97,6 +97,29 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# (check, what the error says) of a key's value: by key for the keys that
+# take more than their default's type, else by the default's type.
+_UNION_KEYS = {
+    "method.proposal.beta": (lambda v: _is_number(v) or _is_numbers(v), "a number or a list of numbers"),
+    "runs.reference": (lambda v: v is None or _is_number(v) or _is_numbers(v), "null, a number or a list of numbers"),
+    "output.dir": (lambda v: v is None or isinstance(v, str), "null or a string"),
+}
+_DEFAULT_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    list: (_is_numbers, "a list of numbers"),
+}
+
+
 def _merge(schema: dict, user: dict, path: str) -> dict:
     out = {}
     for key, default in schema.items():
@@ -110,6 +133,9 @@ def _merge(schema: dict, user: dict, path: str) -> dict:
                 raise ConfigurationError(f"{path}{key} must be one of {list(default)}, got {out[key]!r}")
         else:
             out[key] = user.get(key, default)
+            check, expected = _UNION_KEYS.get(path + key) or _DEFAULT_TYPES[type(default)]
+            if not check(out[key]):
+                raise ConfigurationError(f"{path}{key} must be {expected}, got {out[key]!r}")
     unknown = set(user) - set(schema)
     if unknown:
         raise ConfigurationError(f"unknown config key(s) {sorted(unknown)} under '{path or 'top level'}'")
@@ -285,7 +311,6 @@ def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator)
     kind = mcfg["proposal"]["kind"]
     if kind == "default":
         kind = bundle.default_proposal
-    target = BiasedTarget(bundle.problem)
     pilot = mcfg["proposal"]["pilot_steps"]
     accept = mcfg["proposal"]["target_accept"]
     if kind == "pcn":
@@ -300,10 +325,10 @@ def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator)
             return Pcn(b), 0
         if beta > 0.0:
             return Pcn(beta), 0
-        beta, cost = tune_pcn_beta(target, bundle.problem.init_point, rng, target_accept=accept, pilot_steps=pilot)
+        beta, cost = tune_pcn_beta(bundle.problem, bundle.problem.init_point, rng, target_accept=accept, pilot_steps=pilot)
         return Pcn(beta), cost
     steps, cost = tune_step_sizes(
-        target,
+        bundle.problem,
         bundle.problem.init_point,
         rng,
         target_accept=accept,

@@ -21,27 +21,16 @@ _BANDWIDTH_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class SteinKernelConfig:
-    """Base kernel choice for the Stein kernel.
+    """Squared-exponential base kernel k(r,s) = exp(-(r-s)^2 / (2 h^2)) of the Stein kernel.
 
-    kind "se": k(r,s) = exp(-(r-s)^2 / (2 h^2)).
-    kind "imq": k(r,s) = (c^2 + (r-s)^2)^exponent with exponent in (-1, 0).
     bandwidth None selects the median heuristic over the sample set.
     """
 
-    kind: str = "se"
     bandwidth: float | None = None
-    imq_c: float = 1.0
-    imq_exponent: float = -0.5
 
     def __post_init__(self):
-        if self.kind not in ("se", "imq"):
-            raise ValueError("kernel kind must be 'se' or 'imq'")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.kind == "imq" and not (-1.0 < self.imq_exponent < 0.0):
-            raise ValueError("IMQ exponent must lie in (-1, 0)")
-        if self.imq_c <= 0:
-            raise ValueError("IMQ offset c must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,24 +56,19 @@ class KsdTestResult:
     skipped: bool = False
 
 
-def median_heuristic_bandwidth(samples: np.ndarray) -> float:
-    d = np.abs(samples[:, None] - samples[None, :])
-    iu = np.triu_indices(len(samples), k=1)
-    med = float(np.median(d[iu]))
-    return max(med, _BANDWIDTH_FLOOR)
-
-
 def _self_median_heuristic_bandwidth(x: np.ndarray) -> float:
-    """median_heuristic_bandwidth(np.concatenate([x, x])), bit for bit, without the doubled set.
+    """The median heuristic over the doubled set concatenate([x, x]), without forming it.
 
     The distinct-pair distances of the doubled set are n zeros (each sample
     against its copy) and each of x's n(n-1)/2 distinct-pair distances four
     times, so each order statistic that np.median takes is 0 or an order
-    statistic of x's own distances.
+    statistic of x's own distances. The median is floored at _BANDWIDTH_FLOOR.
     """
     n = len(x)
-    if n < 2 or not np.all(np.isfinite(x)):  # a non-finite sample makes the median NaN
-        return median_heuristic_bandwidth(np.concatenate([x, x]))
+    if not np.all(np.isfinite(x)):
+        return math.nan  # a non-finite sample's distance to its own copy is NaN, which np.median propagates
+    if n < 2:
+        return _BANDWIDTH_FLOOR  # the one distance of a doubled sample is 0
     total = n * (2 * n - 1)
     ranks = (total // 2,) if total % 2 else (total // 2 - 1, total // 2)
     # Rank k of the doubled set is 0 below n, else rank (k - n) // 4 of x's distances.
@@ -96,52 +80,35 @@ def _self_median_heuristic_bandwidth(x: np.ndarray) -> float:
     return max(med, _BANDWIDTH_FLOOR)
 
 
-def _base_kernel_terms(r: np.ndarray, s: np.ndarray, cfg: SteinKernelConfig, bandwidth: float):
-    """k, dk/dr, dk/ds and d2k/drds on the meshgrid of r (rows) and s (cols)."""
-    diff = r[:, None] - s[None, :]
-    if cfg.kind == "se":
-        h2 = bandwidth**2
-        k = np.exp(-0.5 * diff * diff / h2)
-        dk_dr = -diff / h2 * k
-        dk_ds = diff / h2 * k
-        d2k = (1.0 / h2 - diff * diff / h2**2) * k
-    else:
-        c2 = cfg.imq_c**2
-        beta = cfg.imq_exponent
-        base = c2 + diff * diff
-        k = base**beta
-        dk_dr = 2.0 * beta * diff * base ** (beta - 1.0)
-        dk_ds = -dk_dr
-        d2k = -2.0 * beta * base ** (beta - 1.0) - 4.0 * beta * (beta - 1.0) * diff * diff * base ** (beta - 2.0)
-    return k, dk_dr, dk_ds, d2k
-
-
 def stein_kernel_matrix(
     r: np.ndarray,
     s: np.ndarray,
     p_ref: ReferenceDensity,
     cfg: SteinKernelConfig = SteinKernelConfig(),
-    bandwidth: float | None = None,
 ) -> np.ndarray:
-    """Stein kernel k_p(r_i, s_j) built from the base kernel and the score.
+    """Stein kernel k_p(r_i, r_j) of one sample set, built from the SE base kernel and the score.
 
-    The default bandwidth is the median heuristic over r and s together.
+    `s` must be the very object `r`: the kernel is only ever formed over one
+    sample set. The default bandwidth is the median heuristic over it.
     """
-    same = r is s
+    if s is not r:
+        raise ValueError("stein_kernel_matrix takes one sample set: pass the same array as r and s")
     r = np.asarray(r, dtype=float)
-    s = r if same else np.asarray(s, dtype=float)
+    bandwidth = cfg.bandwidth
     if bandwidth is None:
-        bandwidth = cfg.bandwidth
-    if bandwidth is None:
-        bandwidth = _self_median_heuristic_bandwidth(r) if same else median_heuristic_bandwidth(np.concatenate([r, s]))
-    score_r = np.asarray(p_ref.score(r), dtype=float)
-    score_s = np.asarray(p_ref.score(s), dtype=float)
-    k, dk_dr, dk_ds, d2k = _base_kernel_terms(r, s, cfg, bandwidth)
+        bandwidth = _self_median_heuristic_bandwidth(r)
+    score = np.asarray(p_ref.score(r), dtype=float)
+    diff = r[:, None] - r[None, :]
+    h2 = bandwidth**2
+    k = np.exp(-0.5 * diff * diff / h2)
+    dk_dr = -diff / h2 * k
+    dk_ds = diff / h2 * k
+    d2k = (1.0 / h2 - diff * diff / h2**2) * k
     return (
         d2k
-        + dk_dr * score_s[None, :]
-        + dk_ds * score_r[:, None]
-        + k * score_r[:, None] * score_s[None, :]
+        + dk_dr * score[None, :]
+        + dk_ds * score[:, None]
+        + k * score[:, None] * score[None, :]
     )
 
 

@@ -107,14 +107,6 @@ class ChainConfig:
         return self.burn_in + self.thin * self.n_keep
 
 
-class BiasedTarget:
-    """A problem with an optional bias potential exp(-V(R(theta)))."""
-
-    def __init__(self, problem: TargetProblem, bias: Optional[BiasPotential] = None):
-        self.problem = problem
-        self.bias = bias
-
-
 def _no_bias(r: float) -> float:
     return 0.0
 
@@ -146,22 +138,25 @@ class MhResult:
 
 
 def mh_run(
-    target: BiasedTarget,
+    problem: TargetProblem,
     proposal: Proposal,
     init,
     cfg: ChainConfig,
     rng: np.random.Generator,
     active: Optional[np.ndarray] = None,
+    bias: Optional[BiasPotential] = None,
 ) -> MhResult:
     """Run burn_in + thin*n_keep MH steps and return the thinned samples.
 
-    `init` is either a theta vector (evaluated once, +1 budget) or a
-    ChainState from a previous segment (warm start, no extra evaluation).
-    `active` optionally restricts the move's noise to a coordinate subset
-    (used during random-walk step tuning).
+    The chain targets the problem's density times exp(-bias(r)), or the
+    problem's density itself when `bias` is None. `init` is either a theta
+    vector (evaluated once, +1 budget) or a ChainState from a previous
+    segment (warm start, no extra evaluation). `active` optionally restricts
+    the move's noise to a coordinate subset (used during random-walk step
+    tuning).
     """
-    problem = target.problem
-    bias = _no_bias if target.bias is None else target.bias
+    if bias is None:
+        bias = _no_bias
     budget = 0
     if isinstance(init, ChainState):
         x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
@@ -221,7 +216,7 @@ def mh_run(
     return MhResult(thetas=kept_theta, rs=kept_r, acceptance_rate=rate, state=state, budget=budget)
 
 
-def _adapt(target, proposal_at: Callable[[float], Proposal], value: float, state, rng, target_accept: float,
+def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, state, rng, target_accept: float,
            batch: int, n_batches: int, gain: float, bounds: tuple[float, float], active=None):
     """Robbins-Monro adaptation of one positive proposal scale.
 
@@ -234,7 +229,7 @@ def _adapt(target, proposal_at: Callable[[float], Proposal], value: float, state
     budget = 0
     chain = ChainConfig(burn_in=0, thin=1, n_keep=batch)
     for b in range(1, n_batches + 1):
-        res = mh_run(target, proposal_at(value), state, chain, rng, active=active)
+        res = mh_run(problem, proposal_at(value), state, chain, rng, active=active)
         budget += res.budget
         state = res.state
         eta = gain / math.sqrt(b)
@@ -243,7 +238,7 @@ def _adapt(target, proposal_at: Callable[[float], Proposal], value: float, state
 
 
 def tune_step_sizes(
-    target: BiasedTarget,
+    problem: TargetProblem,
     init: np.ndarray,
     rng: np.random.Generator,
     target_accept: float = 0.30,
@@ -260,7 +255,7 @@ def tune_step_sizes(
     """
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
-    d = target.problem.dim
+    d = problem.dim
     if groups is None:
         groups = [np.arange(d)]
     steps = np.ones(d) if init_steps is None else np.asarray(init_steps, dtype=float).copy()
@@ -279,7 +274,7 @@ def tune_step_sizes(
 
         scale = float(np.exp(np.mean(np.log(steps[group]))))
         scale, state, cost = _adapt(
-            target, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0,
+            problem, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0,
             (_STEP_FLOOR, _STEP_CAP), active=group,
         )
         budget += cost
@@ -288,12 +283,12 @@ def tune_step_sizes(
     def joint_walk(mult):
         return RandomWalk(np.clip(mult * steps, _STEP_FLOOR, None))
 
-    mult, _, cost = _adapt(target, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4))
+    mult, _, cost = _adapt(problem, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4))
     return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost
 
 
 def tune_pcn_beta(
-    target: BiasedTarget,
+    problem: TargetProblem,
     init: np.ndarray,
     rng: np.random.Generator,
     target_accept: float = 0.30,
@@ -304,6 +299,6 @@ def tune_pcn_beta(
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
     n_batches = max(1, pilot_steps // 100)
-    beta, _, budget = _adapt(target, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0,
+    beta, _, budget = _adapt(problem, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0,
                              (1e-4, 1.0))
     return beta, budget

@@ -76,8 +76,6 @@ class ContaminationSpec:
     prior_sd: float = 0.3
     measured_cells: tuple[int, ...] = (0, 1, 4)
     noise_sd: float = 0.05
-    truth: Optional[tuple[float, ...]] = None
-    data: Optional[tuple[float, ...]] = None
     rng_seed: int = 2024
 
     def __post_init__(self):
@@ -98,7 +96,8 @@ class ContaminationProblem:
     posterior_cov: np.ndarray = field(repr=False)
 
     def oracle_tail(self, threshold: float) -> float:
-        return contamination_truth(self.posterior_mean, self.posterior_cov, threshold)
+        """Oracle P(theta^T theta >= threshold) for the Gaussian posterior."""
+        return gaussian_quadratic_tail(self.posterior_mean, self.posterior_cov, threshold)
 
 
 def conjugate_gaussian_posterior(prior_mean, prior_cov, obs_matrix, noise_cov, data):
@@ -120,19 +119,9 @@ def conjugate_gaussian_posterior(prior_mean, prior_cov, obs_matrix, noise_cov, d
 def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> ContaminationProblem:
     m = spec.n_cells
     rng = np.random.default_rng(spec.rng_seed)
-    if spec.truth is not None:
-        truth = np.asarray(spec.truth, dtype=float)
-        if truth.shape != (m,):
-            raise ConfigurationError("truth must have one value per cell")
-    else:
-        truth = rng.normal(spec.prior_mean, spec.prior_sd, size=m)
+    truth = rng.normal(spec.prior_mean, spec.prior_sd, size=m)
     measured = np.asarray(spec.measured_cells, dtype=int)
-    if spec.data is not None:
-        data = np.asarray(spec.data, dtype=float)
-        if data.shape != (len(measured),):
-            raise ConfigurationError("data must have one value per measured cell")
-    else:
-        data = truth[measured] + rng.normal(0.0, spec.noise_sd, size=len(measured))
+    data = truth[measured] + rng.normal(0.0, spec.noise_sd, size=len(measured))
 
     prior_mean = np.full(m, spec.prior_mean)
     prior_cov = spec.prior_sd**2 * np.eye(m)
@@ -156,9 +145,6 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
         resid = theta.take(measured, axis=1) - data
         return -0.5 * np.einsum("ij,ij->i", resid, resid) / noise_var
 
-    def no_data(theta):
-        return np.zeros(theta.shape[0])
-
     def qoi(theta):
         return np.einsum("ij,ij->i", theta, theta)
 
@@ -166,8 +152,7 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
         dim=m,
         log_prior=log_prior,
         qoi=qoi,
-        log_likelihood=log_likelihood if len(measured) else no_data,
-        sample_prior=lambda g, n: g.normal(spec.prior_mean, spec.prior_sd, size=(n, m)),
+        log_likelihood=log_likelihood,
         init_point=post_mean.copy(),
     )
     return ContaminationProblem(
@@ -178,11 +163,6 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
         posterior_mean=post_mean,
         posterior_cov=post_cov,
     )
-
-
-def contamination_truth(posterior_mean, posterior_cov, threshold: float) -> float:
-    """Oracle P(theta^T theta >= threshold) for the Gaussian posterior."""
-    return gaussian_quadratic_tail(posterior_mean, posterior_cov, threshold)
 
 
 # ---------------------------------------------------------------------------

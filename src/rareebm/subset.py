@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from rareebm.errors import ConfigurationError
-from rareebm.mcmc import BiasedTarget, ChainConfig, RandomWalk, mh_run
+from rareebm.mcmc import ChainConfig, RandomWalk, mh_run
 from rareebm.problems import RareEventQuery, TargetProblem
 
 _MAX_LEVELS = 200
@@ -89,9 +89,8 @@ def _initial_population(
         return problem.sample_prior(rng, n), n
     if step_sizes is None:
         raise ConfigurationError("posterior initialization requires tuned step sizes")
-    target = BiasedTarget(problem)
     res = mh_run(
-        target,
+        problem,
         RandomWalk(step_sizes),
         problem.init_point,
         ChainConfig(burn_in=cfg.posterior_burn_in, thin=cfg.posterior_thin, n_keep=n),

@@ -22,7 +22,7 @@ from rareebm.densities import GridFunction, ReferenceDensity, grid_normalize, kd
 from rareebm.errors import EstimationError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.ksd import KsdTestConfig, SteinKernelConfig, ksd_statistic, stein_kernel_matrix, wild_bootstrap_test
-from rareebm.mcmc import BiasedTarget, ChainConfig, mh_run
+from rareebm.mcmc import ChainConfig, mh_run
 from rareebm.problems import RareEventQuery, TargetProblem
 
 _ABORT_BIAS_MAGNITUDE = 1e6
@@ -78,7 +78,6 @@ LrSchedule = Union[ConstantLr, ExpDecayLr]
 
 @dataclass(frozen=True)
 class KsdStopping:
-    kernel: SteinKernelConfig = SteinKernelConfig()
     test: KsdTestConfig = KsdTestConfig()
     min_steps: int = 5
 
@@ -183,7 +182,6 @@ def train_bias_potential(
     proposal,
     grid: GridFunction,
     rng: np.random.Generator,
-    init_point: Optional[np.ndarray] = None,
 ) -> TrainResult:
     """Optimize the bias potential and record the per-iteration trace.
 
@@ -194,7 +192,7 @@ def train_bias_potential(
     bias = bias_init
     is_grid = isinstance(bias, GridBias)
     p_ref_grid = grid.with_values(np.asarray(p_ref.pdf(grid.xs), dtype=float))
-    kernel = cfg.stopping.kernel if cfg.stopping else SteinKernelConfig()
+    kernel = SteinKernelConfig()
     support_lo, support_hi = p_ref.support()
     sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
@@ -206,14 +204,12 @@ def train_bias_potential(
         return TrainResult(bias=bias, trace=trace, budget=0, stop_reason="max_steps", recent_biases=[bias])
 
     track_kl = cfg.diagnostics and cfg.track_kl
-    start = problem.init_point if init_point is None else np.asarray(init_point, dtype=float)
-    if start is None:
+    if problem.init_point is None:
         raise TrainingError("no chain start point available")
-    chain_state = start  # raw theta; first mh_run evaluates it (+1 budget)
+    chain_state = problem.init_point  # raw theta; first mh_run evaluates it (+1 budget)
 
     for it in range(cfg.max_steps):
-        target = BiasedTarget(problem, bias)
-        res = mh_run(target, proposal, chain_state, cfg.chain, rng)
+        res = mh_run(problem, proposal, chain_state, cfg.chain, rng, bias=bias)
         chain_state = res.state
         budget += res.budget
         s_samples = res.rs

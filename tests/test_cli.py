@@ -78,6 +78,24 @@ def test_traces_rejects_subset(tmp_path):
         ("method.proposal.pilot_steps", 100),
         ("method.proposal.target_accept", 1.5),
         ("method.proposal.target_accept", 0.0),
+        # each key must have its default's JSON type
+        ("output.traces", "false"),
+        ("output.traces", 1),
+        ("runs.n_runs", 2.0),
+        ("method.max_steps", True),
+        ("method.momentum", True),
+        ("method.grid.h", "0.1"),
+        ("query.thresholds", "20"),
+        ("query.thresholds", 20.0),
+        ("query.thresholds", [20.0, "30"]),
+        ("query.thresholds", [True]),
+        ("method.proposal.beta", "0.5"),
+        ("method.proposal.beta", [0.5, None]),
+        ("runs.reference", "1e-3"),
+        ("runs.reference", True),
+        ("runs.reference", [1e-3, "x"]),
+        ("output.dir", 5),
+        ("output.dir", ["out"]),
     ],
 )
 def test_run_malformed_value(tmp_path, path, value):

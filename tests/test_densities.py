@@ -21,14 +21,13 @@ class TestGaussian:
         g = Gaussian(1.5, 0.7)
         xs = np.linspace(-3, 6, 50)
         np.testing.assert_allclose(g.pdf(xs), stats.norm.pdf(xs, 1.5, 0.7), rtol=1e-12)
-        np.testing.assert_allclose(g.log_pdf(xs), stats.norm.logpdf(xs, 1.5, 0.7), rtol=1e-12)
-        np.testing.assert_allclose(g.cdf(xs), stats.norm.cdf(xs, 1.5, 0.7), rtol=1e-6, atol=1e-12)
 
     def test_score_is_logpdf_derivative(self):
         g = Gaussian(-0.3, 2.0)
         xs = np.linspace(-5, 5, 21)
         eps = 1e-6
-        num = (g.log_pdf(xs + eps) - g.log_pdf(xs - eps)) / (2 * eps)
+        logpdf = stats.norm(-0.3, 2.0).logpdf
+        num = (logpdf(xs + eps) - logpdf(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(g.score(xs), num, atol=1e-7)
 
     def test_sampling_moments(self, rng):
@@ -55,20 +54,20 @@ class TestGev:
         g = Gev(location=1.0, scale=2.0, shape=shape)
         xs = np.linspace(-2, 8, 41)
         np.testing.assert_allclose(g.pdf(xs), stats.genextreme.pdf(xs, -shape, 1.0, 2.0), atol=1e-10)
-        np.testing.assert_allclose(g.cdf(xs), stats.genextreme.cdf(xs, -shape, 1.0, 2.0), atol=1e-10)
 
     @pytest.mark.parametrize("shape", [0.0, 0.2, -0.2])
     def test_quantile_roundtrip(self, shape):
         g = Gev(location=0.0, scale=1.5, shape=shape)
         us = np.linspace(0.01, 0.99, 30)
-        np.testing.assert_allclose(g.cdf(g.quantile(us)), us, atol=1e-10)
+        np.testing.assert_allclose(stats.genextreme.cdf(g.quantile(us), -shape, 0.0, 1.5), us, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [0.0, 0.2, -0.2])
     def test_score_is_logpdf_derivative(self, shape):
         g = Gev(location=0.5, scale=2.0, shape=shape)
         xs = np.linspace(-1.5, 6.0, 15)
         eps = 1e-6
-        num = (g.log_pdf(xs + eps) - g.log_pdf(xs - eps)) / (2 * eps)
+        logpdf = stats.genextreme(-shape, 0.5, 2.0).logpdf
+        num = (logpdf(xs + eps) - logpdf(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(g.score(xs), num, atol=1e-6)
 
     def test_support_and_score_errors(self):
@@ -82,7 +81,7 @@ class TestGev:
     def test_sampling_matches_cdf(self, rng):
         g = Gev(location=0.0, scale=7.0, shape=0.0)
         x = g.sample(rng, 20_000)
-        stat = stats.kstest(x, lambda v: g.cdf(v)).statistic
+        stat = stats.kstest(x, stats.gumbel_r(0.0, 7.0).cdf).statistic
         assert stat < 0.015
 
     def test_invalid_scale(self):
@@ -104,8 +103,9 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(-1.0, 1.0, 0.5, np.array([0, 1, np.nan, 0, 0.0]))
 
-    def test_from_callable_and_interp(self):
-        g = GridFunction.from_callable(0.0, 2.0, 0.1, lambda x: x**2)
+    def test_interp_inside_and_beyond_the_grid(self):
+        grid = GridFunction.zeros(0.0, 2.0, 0.1)
+        g = grid.with_values(grid.xs**2)
         assert g.interp(1.0) == pytest.approx(1.0)
         # constant extension outside the grid
         assert g.interp(5.0) == pytest.approx(4.0)
@@ -119,14 +119,16 @@ class TestGridFunction:
 
 class TestGridOps:
     def test_grid_integral(self):
-        g = GridFunction.from_callable(0.0, 1.0, 0.01, lambda x: 3 * x**2)
+        grid = GridFunction.zeros(0.0, 1.0, 0.01)
+        g = grid.with_values(3 * grid.xs**2)
         assert grid_integral(g, 0.0, 1.0) == pytest.approx(1.0, abs=1e-4)
         assert grid_integral(g, 0.5, 0.5) == 0.0
         with pytest.raises(NumericError):
             grid_integral(g, 0.8, 0.2)
 
     def test_grid_normalize(self):
-        g = GridFunction.from_callable(-5, 5, 0.01, lambda x: np.exp(-np.abs(x)))
+        grid = GridFunction.zeros(-5, 5, 0.01)
+        g = grid.with_values(np.exp(-np.abs(grid.xs)))
         n = grid_normalize(g)
         assert np.trapezoid(n.values, dx=n.h) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(NumericError):

@@ -7,7 +7,7 @@ from rareebm.ksd import (
     KsdTestConfig,
     SteinKernelConfig,
     ksd_statistic,
-    median_heuristic_bandwidth,
+    _self_median_heuristic_bandwidth,
     stein_kernel_matrix,
     wild_bootstrap_test,
 )
@@ -15,13 +15,11 @@ from rareebm.ksd import (
 
 class TestConfigs:
     def test_kernel_validation(self):
-        SteinKernelConfig(kind="imq", imq_exponent=-0.5)
-        with pytest.raises(ValueError):
-            SteinKernelConfig(kind="other")
+        SteinKernelConfig(bandwidth=0.5)
         with pytest.raises(ValueError):
             SteinKernelConfig(bandwidth=0.0)
         with pytest.raises(ValueError):
-            SteinKernelConfig(kind="imq", imq_exponent=-1.5)
+            SteinKernelConfig(bandwidth=-1.0)
 
     def test_test_validation(self):
         with pytest.raises(ValueError):
@@ -36,14 +34,20 @@ class TestSteinKernel:
     def test_symmetry(self, rng):
         p = Gaussian(0.0, 1.0)
         r = rng.standard_normal(20)
-        for cfg in (SteinKernelConfig(bandwidth=1.0), SteinKernelConfig(kind="imq", bandwidth=1.0)):
-            k = stein_kernel_matrix(r, r, p, cfg)
-            np.testing.assert_allclose(k, k.T, atol=1e-10)
+        k = stein_kernel_matrix(r, r, p, SteinKernelConfig(bandwidth=1.0))
+        np.testing.assert_allclose(k, k.T, atol=1e-10)
+
+    def test_one_sample_set_only(self, rng):
+        # a second sample set, even an equal copy, is refused
+        x = rng.standard_normal(10)
+        with pytest.raises(ValueError):
+            stein_kernel_matrix(x, x.copy(), Gaussian(0.0, 1.0))
 
     def test_closed_form_se_value(self):
         # hand-computed Stein kernel for N(0,1), SE kernel, h=1, r=0, s=0:
         # d2k = 1, scores are 0, so k_p(0,0) = 1
-        k = stein_kernel_matrix(np.zeros(1), np.zeros(1), Gaussian(0.0, 1.0), SteinKernelConfig(bandwidth=1.0))
+        r = np.zeros(1)
+        k = stein_kernel_matrix(r, r, Gaussian(0.0, 1.0), SteinKernelConfig(bandwidth=1.0))
         assert k[0, 0] == pytest.approx(1.0)
 
     def test_stein_identity_quadrature(self):
@@ -76,7 +80,8 @@ class TestKsdStatistic:
             ksd_statistic(np.array([1.0]), Gaussian(0.0, 1.0))
 
     def test_median_heuristic_floor(self):
-        assert median_heuristic_bandwidth(np.array([1.0, 1.0, 1.0])) == 1e-3
+        assert _self_median_heuristic_bandwidth(np.array([1.0, 1.0, 1.0])) == 1e-3
+        assert _self_median_heuristic_bandwidth(np.array([2.0])) == 1e-3
 
 
 class TestWildBootstrap:

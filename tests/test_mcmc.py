@@ -6,7 +6,6 @@ from rareebm.bias import GridBias
 from rareebm.densities import GridFunction
 from rareebm.errors import ConfigurationError
 from rareebm.mcmc import (
-    BiasedTarget,
     ChainConfig,
     Pcn,
     RandomWalk,
@@ -31,9 +30,9 @@ class TestProposals:
             Pcn(np.array([0.5, 1.5]))
 
     def test_pcn_beta_length_checked(self):
-        target = BiasedTarget(four_branch_problem())
+        problem = four_branch_problem()
         with pytest.raises(ConfigurationError):
-            mh_run(target, Pcn(np.array([0.5, 0.5, 0.5])), np.zeros(2),
+            mh_run(problem, Pcn(np.array([0.5, 0.5, 0.5])), np.zeros(2),
                    ChainConfig(burn_in=0, thin=1, n_keep=5), np.random.default_rng(0))
 
 
@@ -47,18 +46,18 @@ class TestChainConfig:
 
 class TestMhRun:
     def test_budget_exact(self, rng):
-        target = BiasedTarget(scalar_normal_problem())
+        problem = scalar_normal_problem()
         cfg = ChainConfig(burn_in=5, thin=2, n_keep=10)
-        res = mh_run(target, RandomWalk(np.array([1.0])), np.zeros(1), cfg, rng)
+        res = mh_run(problem, RandomWalk(np.array([1.0])), np.zeros(1), cfg, rng)
         assert res.budget == cfg.total_steps + 1  # +1 for the initial evaluation
         assert res.thetas.shape == (10, 1)
         # warm start costs no initial evaluation
-        res2 = mh_run(target, RandomWalk(np.array([1.0])), res.state, cfg, rng)
+        res2 = mh_run(problem, RandomWalk(np.array([1.0])), res.state, cfg, rng)
         assert res2.budget == cfg.total_steps
 
     def test_tiny_steps_always_accept(self, rng):
-        target = BiasedTarget(scalar_normal_problem())
-        res = mh_run(target, RandomWalk(np.array([1e-12])), np.zeros(1),
+        problem = scalar_normal_problem()
+        res = mh_run(problem, RandomWalk(np.array([1e-12])), np.zeros(1),
                      ChainConfig(burn_in=0, thin=1, n_keep=200), rng)
         assert res.acceptance_rate == pytest.approx(1.0)
 
@@ -70,8 +69,7 @@ class TestMhRun:
             qoi=lambda th: np.atleast_2d(th)[:, 0],
             init_point=np.zeros(1),
         )
-        target = BiasedTarget(problem)
-        res = mh_run(target, RandomWalk(np.array([100.0])), np.zeros(1),
+        res = mh_run(problem, RandomWalk(np.array([100.0])), np.zeros(1),
                      ChainConfig(burn_in=0, thin=1, n_keep=300), rng)
         assert np.all(np.abs(res.rs) < 1.0)
         assert res.acceptance_rate < 0.1
@@ -83,67 +81,65 @@ class TestMhRun:
         v = GridBias(grid.with_values(0.3 * grid.xs))
         v_shift = GridBias(grid.with_values(0.3 * grid.xs + 42.0))
         cfg = ChainConfig(burn_in=10, thin=1, n_keep=200)
-        r1 = mh_run(BiasedTarget(problem, v), RandomWalk(np.array([1.5])), np.zeros(1), cfg,
-                    np.random.default_rng(9))
-        r2 = mh_run(BiasedTarget(problem, v_shift), RandomWalk(np.array([1.5])), np.zeros(1), cfg,
-                    np.random.default_rng(9))
+        r1 = mh_run(problem, RandomWalk(np.array([1.5])), np.zeros(1), cfg, np.random.default_rng(9), bias=v)
+        r2 = mh_run(problem, RandomWalk(np.array([1.5])), np.zeros(1), cfg, np.random.default_rng(9), bias=v_shift)
         np.testing.assert_array_equal(r1.rs, r2.rs)
 
     def test_long_run_standard_normal(self):
-        target = BiasedTarget(scalar_normal_problem())
-        res = mh_run(target, RandomWalk(np.array([2.4])), np.zeros(1),
+        problem = scalar_normal_problem()
+        res = mh_run(problem, RandomWalk(np.array([2.4])), np.zeros(1),
                      ChainConfig(burn_in=500, thin=1, n_keep=30_000), np.random.default_rng(21))
         assert abs(res.rs.mean()) < 0.05
         assert 0.95 < res.rs.std() < 1.05
 
     def test_pcn_preserves_prior(self):
         # no likelihood, no bias: pCN leaves the standard normal invariant
-        target = BiasedTarget(four_branch_problem())
-        res = mh_run(target, Pcn(0.5), np.zeros(2),
+        problem = four_branch_problem()
+        res = mh_run(problem, Pcn(0.5), np.zeros(2),
                      ChainConfig(burn_in=200, thin=2, n_keep=5000), np.random.default_rng(3))
         assert res.acceptance_rate == pytest.approx(1.0)  # prior terms cancel exactly
         assert np.abs(res.thetas.mean(axis=0)).max() < 0.08
         assert np.abs(res.thetas.std(axis=0) - 1.0).max() < 0.08
 
     def test_pcn_coordinatewise_beta_preserves_prior(self):
-        target = BiasedTarget(four_branch_problem())
-        res = mh_run(target, Pcn(np.array([0.9, 0.2])), np.zeros(2),
+        problem = four_branch_problem()
+        res = mh_run(problem, Pcn(np.array([0.9, 0.2])), np.zeros(2),
                      ChainConfig(burn_in=200, thin=8, n_keep=4000), np.random.default_rng(4))
         assert np.abs(res.thetas.mean(axis=0)).max() < 0.1
         assert np.abs(res.thetas.std(axis=0) - 1.0).max() < 0.1
 
     def test_pcn_requires_transform(self, rng):
-        target = BiasedTarget(scalar_normal_problem())
+        problem = scalar_normal_problem()
         problem_no_transform = TargetProblem(
             dim=1,
-            log_prior=target.problem.log_prior,
-            qoi=target.problem.qoi,
+            log_prior=problem.log_prior,
+            qoi=problem.qoi,
             init_point=np.zeros(1),
         )
         with pytest.raises(ConfigurationError):
-            mh_run(BiasedTarget(problem_no_transform), Pcn(0.5), np.zeros(1),
+            mh_run(problem_no_transform, Pcn(0.5), np.zeros(1),
                    ChainConfig(burn_in=0, thin=1, n_keep=5), rng)
 
 
 class TestTuning:
     def test_tuned_acceptance_in_band(self):
-        target = BiasedTarget(scalar_normal_problem())
+        problem = scalar_normal_problem()
         rng = np.random.default_rng(17)
-        steps, budget = tune_step_sizes(target, np.zeros(1), rng, pilot_steps=2000)
+        steps, budget = tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=2000)
         assert budget > 0
-        res = mh_run(target, RandomWalk(steps), np.zeros(1),
+        res = mh_run(problem, RandomWalk(steps), np.zeros(1),
                      ChainConfig(burn_in=200, thin=1, n_keep=5000), rng)
         assert 0.20 <= res.acceptance_rate <= 0.42
 
     def test_pilot_minimum(self, rng):
-        target = BiasedTarget(scalar_normal_problem())
+        problem = scalar_normal_problem()
         with pytest.raises(ConfigurationError):
-            tune_step_sizes(target, np.zeros(1), rng, pilot_steps=100)
+            tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=100)
         with pytest.raises(ConfigurationError):
-            tune_pcn_beta(target, np.zeros(1), rng, pilot_steps=100)
+            tune_pcn_beta(problem, np.zeros(1), rng, pilot_steps=100)
 
     def test_tune_pcn_beta(self):
-        target = BiasedTarget(four_branch_problem())
-        beta, budget = tune_pcn_beta(target, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
+        problem = four_branch_problem()
+        beta, budget = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
         assert 0.0 < beta <= 1.0
         assert budget >= 400

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import free_energy_from_bias, tail_probability
+from rareebm.errors import ConfigurationError
 from rareebm.harness import load_config
 from rareebm.ksd import (
     KsdTestConfig,
@@ -26,7 +28,6 @@ from rareebm.ksd import (
 from rareebm.mcmc import (
     _STEP_CAP,
     _STEP_FLOOR,
-    BiasedTarget,
     ChainConfig,
     Pcn,
     RandomWalk,
@@ -58,14 +59,14 @@ def test_budget_is_the_number_of_evaluations(burn_in, thin, n_keep, pcn, biased,
         return base.qoi(theta)
 
     problem = dataclasses.replace(base, qoi=qoi)
-    bias = GridBias(GridFunction.from_callable(-5.0, 5.0, 0.5, lambda r: 0.3 * r)) if biased else None
-    target = BiasedTarget(problem, bias)
+    grid = GridFunction.zeros(-5.0, 5.0, 0.5)
+    bias = GridBias(grid.with_values(0.3 * grid.xs)) if biased else None
     proposal = Pcn(0.5) if pcn else RandomWalk(np.array([1.0]))
     cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
     rng = np.random.default_rng(seed)
-    cold = mh_run(target, proposal, np.zeros(1), cfg, rng)
+    cold = mh_run(problem, proposal, np.zeros(1), cfg, rng, bias=bias)
     assert cold.budget == cfg.total_steps + 1 == sum(calls)
-    warm = mh_run(target, proposal, cold.state, cfg, rng)
+    warm = mh_run(problem, proposal, cold.state, cfg, rng, bias=bias)
     assert warm.budget == cfg.total_steps
     assert sum(calls) == cold.budget + warm.budget
     assert cold.thetas.shape == (n_keep, 1) and len(warm.rs) == n_keep
@@ -108,13 +109,12 @@ def test_rbf_grid_readout_is_features_times_weights(weights, kappa, lo, h, r):
 @settings(max_examples=50, deadline=None)
 @given(
     samples=arrays(float, st.integers(2, 30), elements=st.floats(-20.0, 20.0)),
-    kind=st.sampled_from(["se", "imq"]),
     bandwidth=st.one_of(st.none(), st.floats(0.05, 10.0)),
     mean=st.floats(-5.0, 5.0),
     sd=st.floats(0.2, 5.0),
 )
-def test_stein_kernel_matrix_is_symmetric(samples, kind, bandwidth, mean, sd):
-    kmat = stein_kernel_matrix(samples, samples, Gaussian(mean, sd), SteinKernelConfig(kind=kind, bandwidth=bandwidth))
+def test_stein_kernel_matrix_is_symmetric(samples, bandwidth, mean, sd):
+    kmat = stein_kernel_matrix(samples, samples, Gaussian(mean, sd), SteinKernelConfig(bandwidth=bandwidth))
     # entries (i, j) and (j, i) add the two cross terms in opposite order
     scale = float(np.abs(kmat).max())
     np.testing.assert_allclose(kmat, kmat.T, rtol=1e-12, atol=1e-12 * scale)
@@ -161,9 +161,6 @@ def test_self_pair_bandwidth_is_the_doubled_set_median(x, nan_at):
     if nan_at is not None:
         x[nan_at % len(x)] = math.nan
     assert _same(_self_median_heuristic_bandwidth(x), _doubled_median_bandwidth(x))
-    # stein_kernel_matrix(x, x) takes the shortcut, a copy of x the doubled set
-    p_ref = Gaussian(0.0, 3.0)
-    np.testing.assert_array_equal(stein_kernel_matrix(x, x, p_ref), stein_kernel_matrix(x, x.copy(), p_ref))
 
 
 def _kde_reference(samples, grid, bandwidth):
@@ -355,13 +352,13 @@ def test_grid_p_hat_is_invariant_under_a_constant_shift(values, c, threshold):
 @settings(max_examples=10, deadline=None)
 @given(target_accept=st.floats(0.01, 0.99), init_step=st.floats(1e-9, 1e5), beta0=st.floats(1e-4, 1.0), seed=seeds)
 def test_tuned_scales_stay_within_their_clip_bounds(target_accept, init_step, beta0, seed):
-    target = BiasedTarget(scalar_normal_problem())
+    problem = scalar_normal_problem()
     rng = np.random.default_rng(seed)
     steps, _ = tune_step_sizes(
-        target, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, init_steps=np.array([init_step])
+        problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, init_steps=np.array([init_step])
     )
     assert np.all((_STEP_FLOOR <= steps) & (steps <= _STEP_CAP))
-    beta, _ = tune_pcn_beta(target, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
+    beta, _ = tune_pcn_beta(problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
     assert 1e-4 <= beta <= 1.0
 
 
@@ -395,3 +392,52 @@ def test_load_config_is_idempotent(cfg):
     assert load_config(once) == once
     # summary.json stores the loaded config as JSON; it must load back unchanged
     assert load_config(json.loads(json.dumps(once))) == once
+
+
+SHIPPED_CONFIGS = sorted(p.name for p in (resources.files("rareebm") / "configs").iterdir() if p.name.endswith(".json"))
+
+# One value of each JSON type, and the types a key takes besides its default's.
+JSON_VALUES = {"string": "x", "number": 7, "boolean": True, "null": None, "array": ["x"], "object": {"x": 1}}
+ALSO_ACCEPTED = {
+    ("method", "proposal", "beta"): {"array"},
+    ("runs", "reference"): {"number", "array"},
+    ("output", "dir"): {"string"},
+}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if value is None:
+        return "null"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _leaves(node, path=()):
+    """(path, value) of every non-object value in a nested config."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(SHIPPED_CONFIGS), data=st.data())
+def test_shipped_configs_load_unchanged_and_a_mistyped_leaf_is_rejected(name, data):
+    user = json.loads((resources.files("rareebm") / "configs" / name).read_text())
+    cfg = load_config(user)
+    loaded = dict(_leaves(cfg))
+    assert all(loaded[path] == value for path, value in _leaves(user))
+    assert load_config(cfg) == cfg
+    path, value = data.draw(st.sampled_from([(p, v) for p, v in _leaves(cfg) if not isinstance(v, list)]))
+    other = sorted(set(JSON_VALUES) - {_json_type(value)} - ALSO_ACCEPTED.get(path, set()))
+    broken = json.loads(json.dumps(cfg))
+    node = broken
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = JSON_VALUES[data.draw(st.sampled_from(other))]
+    with pytest.raises(ConfigurationError):
+        load_config(broken)

@@ -7,7 +7,7 @@ from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, GridFunction, grid_normalize
 from rareebm.errors import TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability
-from rareebm.ksd import KsdTestConfig, SteinKernelConfig
+from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import ChainConfig, RandomWalk
 from rareebm.train import (
     ConstantLr,
@@ -195,7 +195,7 @@ class TestTraining:
         cfg = self._cfg(
             max_steps=50,
             schedule=ConstantLr(1e-9),
-            stopping=KsdStopping(kernel=SteinKernelConfig(), test=KsdTestConfig(a_bs=0.4), min_steps=1),
+            stopping=KsdStopping(test=KsdTestConfig(a_bs=0.4), min_steps=1),
         )
         res = train_bias_potential(problem, RareEventQuery(1.0), Gaussian(0.0, 1.0), bias, cfg,
                                    RandomWalk(np.array([2.4])), grid, rng)
