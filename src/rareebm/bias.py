@@ -7,11 +7,20 @@ potential with new values, so training and averaging treat them alike.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from rareebm.densities import GridFunction
+
+# |kappa * (r - b_j)| at or beyond which exp(-(kappa * (r - b_j))^2) is exactly
+# 0.0: the exponent is <= -812.25, below the -745.2 where float64 exp
+# underflows. Such terms are set to 0.0 rather than evaluated, because numpy's
+# exp takes a slow path, over ten times the cost of a normal result, on every
+# underflow.
+_RBF_CUTOFF = 28.5
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class RbfBias:
     # with_params copy shares it and a grid readout is one matrix-vector
     # product.
     _grid_features: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
+    # The centers as a Python list, for bisecting a float's window of reach.
+    _center_list: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -43,6 +54,7 @@ class RbfBias:
             raise ValueError("kappa must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "centers", b)
+        object.__setattr__(self, "_center_list", b.tolist())
 
     @classmethod
     def zero(cls, n_basis: int, lo: float, hi: float, kappa: float) -> "RbfBias":
@@ -51,10 +63,32 @@ class RbfBias:
     def features(self, r):
         """Kernel activations exp(-(kappa*(r-b_j))^2); also d V / d w_j."""
         r = np.asarray(r, dtype=float)
-        z = self.kappa * (r[..., None] - self.centers)
-        return np.exp(-z * z)
+        t = self.kappa * (r[..., None] - self.centers)
+        np.multiply(t, t, out=t)
+        np.negative(t, out=t)
+        # "not <= -cutoff^2" rather than "> -cutoff^2", so a NaN exponent is
+        # still evaluated (to NaN).
+        skip = t <= -_RBF_CUTOFF * _RBF_CUTOFF
+        np.copyto(t, 0.0, where=skip)
+        np.logical_not(skip, out=skip)
+        return np.exp(t, out=t, where=skip)
 
     def __call__(self, r):
+        if isinstance(r, float) and math.isfinite(r):
+            # One MH proposal: evaluate only the centers within reach of r.
+            # The product stays over all n features, since a dot over the
+            # window alone would group BLAS's sum differently.
+            reach = _RBF_CUTOFF / self.kappa
+            lo = bisect.bisect_right(self._center_list, r - reach)
+            hi = bisect.bisect_left(self._center_list, r + reach)
+            feats = np.zeros(len(self._center_list))
+            t = feats[lo:hi]
+            np.subtract(r, self.centers[lo:hi], out=t)
+            t *= self.kappa
+            np.multiply(t, t, out=t)
+            np.negative(t, out=t)
+            np.exp(t, out=t)
+            return feats @ self.weights
         nodes, feats = self._grid_features
         if r is not nodes:
             # Only a read-only array is cached: its contents cannot change

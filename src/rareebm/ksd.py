@@ -112,23 +112,15 @@ def stein_kernel_matrix(
     )
 
 
-def ksd_statistic(
-    samples: np.ndarray,
-    p_ref: ReferenceDensity,
-    cfg: SteinKernelConfig = SteinKernelConfig(),
-    kmat: np.ndarray | None = None,
-) -> float:
+def ksd_statistic(samples: np.ndarray, kmat: np.ndarray) -> float:
     """V-statistic KSD: sqrt of the full double sum including the diagonal.
 
-    `kmat` is the samples' Stein kernel matrix when the caller has built it
-    already (training shares one with the wild bootstrap).
+    `kmat` is the samples' Stein kernel matrix, `stein_kernel_matrix(samples,
+    samples, p_ref, cfg)` (training shares one with the wild bootstrap).
     """
-    samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 2:
         raise NumericError("KSD needs at least 2 samples")
-    if kmat is None:
-        kmat = stein_kernel_matrix(samples, samples, p_ref, cfg)
     val = float(kmat.sum()) / n**2
     if val < 0:
         if val > -1e-14:

@@ -279,6 +279,8 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
     log_y = math.log(spec.measurement)
     sy2 = spec.sigma_y**2
 
+    # np.add.reduce and np.logical_and.reduce are .sum(axis=1) and
+    # .all(axis=1) without the Python wrapper of the ndarray methods.
     def log_prior(theta):
         load, comps = theta[:, 0], theta[:, 1:]
         z = (load - loc) / scale
@@ -286,25 +288,25 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
         logc = np.log(np.maximum(comps, _TINY))
         comp_lp = -logc - 0.5 * ((logc - mu_i) / sd_i) ** 2 - math.log(sd_i * math.sqrt(2 * math.pi))
         comp_lp = np.where(comps > 0, comp_lp, -np.inf)
-        return lp + comp_lp.sum(axis=1)
+        return lp + np.add.reduce(comp_lp, 1)
 
     def log_likelihood(theta):
         comps = theta[:, 1:]
         resid = log_y - np.log(np.maximum(comps, _TINY))
-        ll = -0.5 * (resid * resid).sum(axis=1) / sy2
-        return np.where((comps > 0).all(axis=1), ll, -np.inf)
+        ll = -0.5 * np.add.reduce(resid * resid, 1) / sy2
+        return np.where(np.logical_and.reduce(comps > 0, 1), ll, -np.inf)
 
     def qoi(theta):
         # A row with a capacity <= 0 lies outside the prior (log_target is
         # -inf there); the clamp keeps its r finite and silent.
-        return theta[:, 0] - np.exp(np.log(np.maximum(theta[:, 1:], _TINY)).sum(axis=1))
+        return theta[:, 0] - np.exp(np.add.reduce(np.log(np.maximum(theta[:, 1:], _TINY)), 1))
 
     def from_u(u):
         theta = np.empty_like(u)
         # np.minimum(np.maximum(..)) gives np.clip's values without its Python wrapper.
         cdf = np.minimum(np.maximum(ndtr(u[:, 0]), 1e-300), 1.0 - 1e-16)
         theta[:, 0] = loc - scale * np.log(-np.log(cdf))
-        theta[:, 1:] = np.exp(mu_i + sd_i * u[:, 1:])
+        np.exp(mu_i + sd_i * u[:, 1:], out=theta[:, 1:])
         return theta
 
     def to_u(theta):

@@ -106,6 +106,68 @@ def test_rbf_grid_readout_is_features_times_weights(weights, kappa, lo, h, r):
             assert bias._grid_features[0] is grid.xs
 
 
+def _rbf_reference(bias, r):
+    """RBF features as the one array expression, every exponential evaluated."""
+    r = np.asarray(r, dtype=float)
+    return np.exp(-((bias.kappa * (r[..., None] - bias.centers)) ** 2))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_centers=st.integers(1, 600),
+    span=st.floats(1e-3, 400.0),
+    kappa=st.floats(0.01, 5.0),
+    seed=seeds,
+    j=st.integers(0, 599),
+    u=st.floats(-0.5, 1.5),
+)
+# load_capacity_100_rbf's bias at a typical r: 272 of the 500 terms in reach
+@example(n_centers=500, span=200.0, kappa=0.5, seed=1, j=235, u=0.47)
+@example(n_centers=3, span=4.0, kappa=2.0, seed=2, j=1, u=0.5)  # 2 spacings per unit of kappa * r
+def test_rbf_bias_is_the_full_exponential_bit_for_bit(n_centers, span, kappa, seed, j, u):
+    centers = np.linspace(-span / 2.0, span / 2.0, n_centers)
+    weights = np.random.default_rng(seed).standard_normal(n_centers)
+    bias = RbfBias(weights, centers, kappa)
+    spacing = span / max(n_centers - 1, 1)
+    reach = 28.5 / kappa  # where |kappa * (r - b_j)| reaches the cutoff
+    b, first, last = centers[j % n_centers], centers[0], centers[-1]
+    points = [
+        b,  # exactly on a center
+        first - 3.0 * reach - span,  # far outside the centers, every term 0.0
+        last + 3.0 * reach + span,
+        # a center one spacing inside, at, and one spacing beyond the cutoff
+        *(b + side * (reach + d) for side in (-1.0, 1.0) for d in (-spacing, 0.0, spacing)),
+        # only the outermost center in reach, its term a subnormal
+        first - 27.0 / kappa,
+        last + 27.0 / kappa,
+        first + u * (last - first),  # interior, or beyond either end
+        math.nan,
+        math.inf,
+        -math.inf,
+    ]
+    for x in points:
+        want = _rbf_reference(bias, x)
+        for r in (float(x), np.float64(x)):
+            assert _bits(bias(r)) == _bits(want @ weights), r
+            assert _bits(bias.features(r)) == _bits(want), r
+            assert _bits(bias.weight_gradient(r)) == _bits(want), r
+    samples = np.array(points)
+    want = _rbf_reference(bias, samples)
+    assert _bits(bias(samples)) == _bits(want @ weights)
+    assert _bits(bias.features(samples)) == _bits(want)
+    assert _bits(bias.weight_gradient(samples)) == _bits(want)
+    # a grid's read-only nodes: the first call fills the feature cache, the second reads it
+    xs = GridFunction.zeros(first - reach - spacing, last + reach + spacing, max(spacing, reach / 50.0)).xs
+    want = _rbf_reference(bias, xs) @ weights
+    assert _bits(bias(xs)) == _bits(want)
+    assert bias._grid_features[0] is xs
+    assert _bits(bias(xs)) == _bits(want)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     samples=arrays(float, st.integers(2, 30), elements=st.floats(-20.0, 20.0)),
