@@ -60,12 +60,16 @@ class RbfBias:
     def zero(cls, n_basis: int, lo: float, hi: float, kappa: float) -> "RbfBias":
         return cls(np.zeros(n_basis), np.linspace(lo, hi, n_basis), kappa)
 
+    def _exponent(self, t):
+        """-(kappa * t)^2 in place, for t holding r - b_j."""
+        t *= self.kappa
+        np.multiply(t, t, out=t)
+        return np.negative(t, out=t)
+
     def features(self, r):
         """Kernel activations exp(-(kappa*(r-b_j))^2); also d V / d w_j."""
         r = np.asarray(r, dtype=float)
-        t = self.kappa * (r[..., None] - self.centers)
-        np.multiply(t, t, out=t)
-        np.negative(t, out=t)
+        t = self._exponent(r[..., None] - self.centers)
         # "not <= -cutoff^2" rather than "> -cutoff^2", so a NaN exponent is
         # still evaluated (to NaN).
         skip = t <= -_RBF_CUTOFF * _RBF_CUTOFF
@@ -84,10 +88,7 @@ class RbfBias:
             feats = np.zeros(len(self._center_list))
             t = feats[lo:hi]
             np.subtract(r, self.centers[lo:hi], out=t)
-            t *= self.kappa
-            np.multiply(t, t, out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
+            np.exp(self._exponent(t), out=t)
             return feats @ self.weights
         nodes, feats = self._grid_features
         if r is not nodes:

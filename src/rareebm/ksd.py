@@ -112,13 +112,13 @@ def stein_kernel_matrix(
     )
 
 
-def ksd_statistic(samples: np.ndarray, kmat: np.ndarray) -> float:
+def ksd_statistic(kmat: np.ndarray) -> float:
     """V-statistic KSD: sqrt of the full double sum including the diagonal.
 
     `kmat` is the samples' Stein kernel matrix, `stein_kernel_matrix(samples,
     samples, p_ref, cfg)` (training shares one with the wild bootstrap).
     """
-    n = len(samples)
+    n = len(kmat)
     if n < 2:
         raise NumericError("KSD needs at least 2 samples")
     val = float(kmat.sum()) / n**2

@@ -257,7 +257,7 @@ def train_bias_potential(
             # The score, and with it the Stein kernel, is undefined outside a
             # bounded support: the trace records a non-finite KSD and the
             # stopping test counts the iteration as a rejection.
-            ksd_val = math.nan if kmat is None else ksd_statistic(s_samples, kmat)
+            ksd_val = math.nan if kmat is None else ksd_statistic(kmat)
         trace.append(
             TrainRecord(
                 iteration=it,

@@ -67,21 +67,21 @@ class TestKsdStatistic:
         cfg = SteinKernelConfig(bandwidth=1.0)
         k = stein_kernel_matrix(x, x, p, cfg)
         expected = np.sqrt(max(k.sum() / 40**2, 0.0))
-        assert ksd_statistic(x, k) == pytest.approx(expected, abs=1e-12)
+        assert ksd_statistic(k) == pytest.approx(expected, abs=1e-12)
 
     def test_discriminates_shift(self, rng):
         p = Gaussian(0.0, 1.0)
         cfg = SteinKernelConfig()
         x_good = rng.standard_normal(200)
         x_bad = rng.standard_normal(200) + 3.0
-        good = ksd_statistic(x_good, stein_kernel_matrix(x_good, x_good, p, cfg))
-        bad = ksd_statistic(x_bad, stein_kernel_matrix(x_bad, x_bad, p, cfg))
+        good = ksd_statistic(stein_kernel_matrix(x_good, x_good, p, cfg))
+        bad = ksd_statistic(stein_kernel_matrix(x_bad, x_bad, p, cfg))
         assert bad > 5 * good
 
     def test_minimum_samples(self):
         x = np.array([1.0])
         with pytest.raises(NumericError):
-            ksd_statistic(x, stein_kernel_matrix(x, x, Gaussian(0.0, 1.0), SteinKernelConfig()))
+            ksd_statistic(stein_kernel_matrix(x, x, Gaussian(0.0, 1.0), SteinKernelConfig()))
 
     def test_median_heuristic_floor(self):
         assert _self_median_heuristic_bandwidth(np.array([1.0, 1.0, 1.0])) == 1e-3
