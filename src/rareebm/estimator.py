@@ -7,7 +7,7 @@ p_R ∝ exp(-F) with F = -log p_ref - V on nodes where p_ref is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,13 @@ EDGE_SHARE = 1e-3
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
-    free_energy: GridFunction
-    support_mask: np.ndarray = field(repr=False)
     density: GridFunction  # normalized p_R on the grid
 
 
 def free_energy_from_bias(
     bias: BiasPotential, p_ref: ReferenceDensity, grid: GridFunction
 ) -> FreeEnergyEstimate:
-    """Reconstruct F and the normalized density of R on the grid.
+    """Reconstruct the normalized density of R, exp(-F), on the grid.
 
     F is defined only up to an additive constant; the maximum of -F is
     subtracted before exponentiating so the result is overflow-safe and
@@ -54,13 +52,7 @@ def free_energy_from_bias(
     if total <= 0:
         raise EstimationError("reconstructed density integrates to zero")
     dens /= total
-    # Large finite stand-in outside the support keeps the grid finite.
-    f_vals = np.where(mask, -(neg_f - shift), 750.0)
-    return FreeEnergyEstimate(
-        free_energy=grid.with_values(f_vals),
-        support_mask=mask,
-        density=grid.with_values(dens),
-    )
+    return FreeEnergyEstimate(density=grid.with_values(dens))
 
 
 def tail_probability(est: FreeEnergyEstimate, threshold: float) -> float:

@@ -15,10 +15,10 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
-from rareebm.mcmc import ChainConfig, Pcn, RandomWalk, tune_pcn_beta, tune_step_sizes
+from rareebm.mcmc import ChainConfig, Pcn, Proposal, RandomWalk, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
     ContaminationSpec,
     LoadCapacitySpec,
@@ -145,8 +145,8 @@ def _merge(schema: dict, user: dict, path: str) -> dict:
 def load_config(source) -> dict:
     """Validate a config mapping or JSON file against the schema with defaults.
 
-    The method's objects are built here as each replicate builds them, so
-    out-of-range settings fail at load.
+    Everything a replicate builds before it draws a random number is built
+    here as well (`_replicate_setup`), so out-of-range settings fail at load.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -154,36 +154,29 @@ def load_config(source) -> dict:
     else:
         user = dict(source)
     cfg = _merge(_SCHEMA, user, "")
-    if cfg["runs"]["n_runs"] < 1:
+    runs, thresholds = cfg["runs"], cfg["query"]["thresholds"]
+    if runs["n_runs"] < 1:
         raise ConfigurationError("runs.n_runs must be >= 1")
-    if not cfg["query"]["thresholds"]:
+    if runs["base_seed"] < 0:
+        raise ConfigurationError("runs.base_seed must be >= 0")
+    if not thresholds:
         raise ConfigurationError("query.thresholds must be non-empty")
+    if runs["reference"] is not None and len(_as_list(runs["reference"])) != len(thresholds):
+        raise ConfigurationError("runs.reference must match the number of thresholds")
     mcfg = cfg["method"]
     g = mcfg["grid"]
-    for t in cfg["query"]["thresholds"]:
+    for t in thresholds:
         if mcfg["kind"] == "ebm" and not (g["lo"] <= t <= g["hi"]):
             raise ConfigurationError(f"grid does not cover query threshold {t}")
     try:
-        _subset_config(mcfg) if mcfg["kind"] == "subset" else _ebm_setup(mcfg)
-        _check_proposal(mcfg["proposal"], _problem_dim(cfg["problem"]))
+        _replicate_setup(cfg)
     except (TypeError, ValueError) as exc:  # dataclass validators raise ValueError
-        raise ConfigurationError(f"invalid method settings: {exc}") from exc
+        raise ConfigurationError(f"invalid settings: {exc}") from exc
     return cfg
 
 
-def _check_proposal(pc: dict, dim: int) -> None:
-    if pc["pilot_steps"] < 200:
-        raise ConfigurationError("method.proposal.pilot_steps must be >= 200")
-    if not 0.0 < pc["target_accept"] < 1.0:
-        raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
-    beta = pc["beta"]
-    if isinstance(beta, list):
-        if not 1 <= len(beta) <= dim:
-            raise ConfigurationError(f"method.proposal.beta needs 1 to {dim} values, got {len(beta)}")
-        if not all(0.0 < b <= 1.0 for b in beta):
-            raise ConfigurationError("method.proposal.beta values must lie in (0, 1]")
-    elif not 0.0 <= beta <= 1.0:  # 0 selects a tuned beta
-        raise ConfigurationError("method.proposal.beta must lie in (0, 1], or be 0 to tune it")
+def _as_list(v) -> list:
+    return v if isinstance(v, list) else [v]
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +189,6 @@ class ProblemBundle:
     rw_groups: Optional[list] = None
     rw_init_steps: Optional[np.ndarray] = None
     default_proposal: str = "random_walk"
-
-
-def _problem_dim(pcfg: dict) -> int:
-    """Dimension of the problem that build_problem(pcfg) builds, without building it."""
-    name = pcfg["name"]
-    if name == "contamination":
-        return ContaminationSpec().n_cells
-    if name == "four_branch":
-        return 2
-    return LoadCapacitySpec(n_components=pcfg["n_components"]).n_components + 1
 
 
 def build_problem(pcfg: dict) -> ProblemBundle:
@@ -307,55 +290,94 @@ class RunOutcome:
     tail_warning: bool = False  # a final readout may be truncated at the grid's upper edge (truncated_tail)
 
 
-def _tuned_proposal(mcfg: dict, bundle: ProblemBundle, rng: np.random.Generator):
-    kind = mcfg["proposal"]["kind"]
-    if kind == "default":
-        kind = bundle.default_proposal
-    pilot = mcfg["proposal"]["pilot_steps"]
-    accept = mcfg["proposal"]["target_accept"]
-    if kind == "pcn":
-        beta = mcfg["proposal"]["beta"]
-        if isinstance(beta, list):
-            # A short vector is padded with its last entry, so e.g.
-            # [0.7, 0.15] means coordinate 0 mixes at 0.7 and the rest at 0.15.
-            b = np.asarray(beta, dtype=float)
-            d = bundle.problem.dim
-            if len(b) < d:
-                b = np.concatenate([b, np.full(d - len(b), b[-1])])
-            return Pcn(b), 0
-        if beta > 0.0:
-            return Pcn(beta), 0
-        beta, cost = tune_pcn_beta(bundle.problem, bundle.problem.init_point, rng, target_accept=accept, pilot_steps=pilot)
-        return Pcn(beta), cost
-    steps, cost = tune_step_sizes(
-        bundle.problem,
-        bundle.problem.init_point,
-        rng,
-        target_accept=accept,
-        pilot_steps=pilot,
-        groups=bundle.rw_groups,
-        init_steps=bundle.rw_init_steps,
-    )
-    return RandomWalk(steps), cost
+@dataclass(frozen=True)
+class ReplicateSetup:
+    """What a replicate builds from its config before it draws a random number."""
+
+    bundle: ProblemBundle
+    queries: list[RareEventQuery]
+    method: Any  # SubsetConfig, or the (p_ref, bias, grid, train_cfg) of _ebm_setup
+    proposal: Optional[Proposal] = None  # a fixed proposal
+    tune: Optional[Callable[[np.random.Generator], tuple[Proposal, int]]] = None  # or the tuner that picks one
+
+    def draw_proposal(self, rng: np.random.Generator) -> tuple[Optional[Proposal], int]:
+        """(proposal, tuning budget): the fixed proposal, or the tuner's pick."""
+        return (self.proposal, 0) if self.tune is None else self.tune(rng)
+
+
+def _replicate_setup(cfg: dict) -> ReplicateSetup:
+    """The setup of cfg's replicates; `load_config` builds it once to validate cfg."""
+    bundle = build_problem(cfg["problem"])
+    mcfg = cfg["method"]
+    subset = mcfg["kind"] == "subset"
+    method = _subset_config(mcfg) if subset else _ebm_setup(mcfg)
+    queries = [RareEventQuery(float(t)) for t in cfg["query"]["thresholds"]]
+    return ReplicateSetup(bundle, queries, method, *_proposal_choice(mcfg["proposal"], bundle, subset))
+
+
+def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
+    """(fixed proposal, tuner) that method.proposal asks for; at most one is set.
+
+    A subset run moves by a random walk, tuned only in the posterior setting:
+    in the prior setting its population is drawn from the prior and every
+    level sets its own steps.
+    """
+    if pc["pilot_steps"] < 200:
+        raise ConfigurationError("method.proposal.pilot_steps must be >= 200")
+    if not 0.0 < pc["target_accept"] < 1.0:
+        raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
+    problem, beta = bundle.problem, pc["beta"]
+    kind = bundle.default_proposal if pc["kind"] == "default" else pc["kind"]
+    if subset:
+        if pc["kind"] == "pcn":
+            raise ConfigurationError("a subset run moves by a random walk, not pcn")
+        kind = "random_walk"
+    tuning = {"target_accept": pc["target_accept"], "pilot_steps": pc["pilot_steps"]}
+    if kind == "random_walk":
+        if beta != 0.0:
+            raise ConfigurationError("method.proposal.beta applies to a pcn proposal only")
+        if subset and problem.log_likelihood is None:
+            return None, None
+
+        def tune_walk(rng):
+            steps, cost = tune_step_sizes(
+                problem, problem.init_point, rng, groups=bundle.rw_groups, init_steps=bundle.rw_init_steps, **tuning
+            )
+            return RandomWalk(steps), cost
+
+        return None, tune_walk
+    if problem.to_standard_normal is None:
+        raise ConfigurationError("a pcn proposal needs a problem with a standard-normal transform")
+    if isinstance(beta, list):
+        # A short vector is padded with its last entry, so e.g.
+        # [0.7, 0.15] means coordinate 0 mixes at 0.7 and the rest at 0.15.
+        d = problem.dim
+        if not 1 <= len(beta) <= d:
+            raise ConfigurationError(f"method.proposal.beta needs 1 to {d} values, got {len(beta)}")
+        return Pcn(np.array(beta + beta[-1:] * (d - len(beta)), dtype=float)), None
+    if beta != 0.0:  # 0 selects a tuned beta
+        return Pcn(beta), None
+
+    def tune_beta(rng):
+        b, cost = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
+        return Pcn(b), cost
+
+    return None, tune_beta
 
 
 def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
     """Execute one independent replicate; a failed one keeps the budget it used."""
     rng = np.random.default_rng(cfg["runs"]["base_seed"] + run_index)
-    bundle = build_problem(cfg["problem"])
-    mcfg = cfg["method"]
-    thresholds = [float(t) for t in cfg["query"]["thresholds"]]
+    setup = _replicate_setup(cfg)
+    bundle, queries = setup.bundle, setup.queries
     tuning_budget = 0
     try:
-        if mcfg["kind"] == "subset":
-            sub_cfg = _subset_config(mcfg)
-            proposal, tuning_budget = _tuned_proposal(
-                {**mcfg, "proposal": {**mcfg["proposal"], "kind": "random_walk"}}, bundle, rng
-            )
-            step_sizes = proposal.step_sizes
+        proposal, tuning_budget = setup.draw_proposal(rng)
+        if cfg["method"]["kind"] == "subset":
+            step_sizes = None if proposal is None else proposal.step_sizes
             p_hats, budget, failed = [], 0, False
-            for t in thresholds:
-                res = subset_estimate(bundle.problem, RareEventQuery(t), sub_cfg, rng, step_sizes=step_sizes)
+            for query in queries:
+                res = subset_estimate(bundle.problem, query, setup.method, rng, step_sizes=step_sizes)
                 p_hats.append(res.p_hat)
                 budget += res.budget
                 failed = failed or res.level_failure
@@ -369,20 +391,18 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             )
 
         # EBM path
-        p_ref, bias, grid, train_cfg = _ebm_setup(mcfg)
+        p_ref, bias, grid, train_cfg = setup.method
         # The per-iteration kl, ksd and p_hat only feed the trace files.
         train_cfg = dataclasses.replace(train_cfg, diagnostics=cfg["output"]["traces"])
-        proposal, tuning_budget = _tuned_proposal(mcfg, bundle, rng)
-        query = RareEventQuery(thresholds[0])
-        result = train_bias_potential(bundle.problem, query, p_ref, bias, train_cfg, proposal, grid, rng)
+        result = train_bias_potential(bundle.problem, queries[0], p_ref, bias, train_cfg, proposal, grid, rng)
         window = result.recent_biases or [result.bias]
-        if mcfg["estimate_average"] == "potential":
+        if cfg["method"]["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
             # tail once; this cancels oscillation of the bias around its
             # fixed point rather than averaging its exponential.
             window = [window[0].with_params(np.mean([b.params for b in window], axis=0))]
         ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
-        tails = [[tail_probability(e, t) for e in ests] for t in thresholds]
+        tails = [[tail_probability(e, q.threshold) for e in ests] for q in queries]
         p_hats = [float(np.mean(ps)) for ps in tails]
         return RunOutcome(
             run=run_index,
@@ -398,7 +418,7 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
         partial = getattr(exc, "result", None)
         return RunOutcome(
             run=run_index,
-            p_hats=[math.nan] * len(thresholds),
+            p_hats=[math.nan] * len(queries),
             budget=0 if partial is None else partial.budget,
             tuning_budget=tuning_budget,
             steps=0,
@@ -479,9 +499,7 @@ def summarize_estimates(p_hats, reference: Optional[float] = None, threshold: fl
 def _references_for(cfg: dict, bundle: ProblemBundle, thresholds: list[float]) -> list[Optional[float]]:
     ref = cfg["runs"]["reference"]
     if ref is not None:
-        refs = ref if isinstance(ref, list) else [ref]
-        if len(refs) != len(thresholds):
-            raise ConfigurationError("runs.reference must match the number of thresholds")
+        refs = _as_list(ref)
     elif bundle.oracle is not None:
         refs = [bundle.oracle(t) for t in thresholds]
     else:

@@ -90,7 +90,6 @@ class ContaminationSpec:
 class ContaminationProblem:
     problem: TargetProblem
     spec: ContaminationSpec
-    truth: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
     posterior_mean: np.ndarray = field(repr=False)
     posterior_cov: np.ndarray = field(repr=False)
@@ -119,6 +118,7 @@ def conjugate_gaussian_posterior(prior_mean, prior_cov, obs_matrix, noise_cov, d
 def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> ContaminationProblem:
     m = spec.n_cells
     rng = np.random.default_rng(spec.rng_seed)
+    # the data are a noisy measurement of a field drawn from the prior
     truth = rng.normal(spec.prior_mean, spec.prior_sd, size=m)
     measured = np.asarray(spec.measured_cells, dtype=int)
     data = truth[measured] + rng.normal(0.0, spec.noise_sd, size=len(measured))
@@ -158,7 +158,6 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
     return ContaminationProblem(
         problem=problem,
         spec=spec,
-        truth=truth,
         data=data,
         posterior_mean=post_mean,
         posterior_cov=post_cov,

@@ -57,7 +57,7 @@ class SubsetConfig:
     posterior_thin: int = 500
 
     def __post_init__(self):
-        if self.n_samples < 2 or self.mh_steps_per_seed < 1:
+        if self.n_samples < 2 or self.mh_steps_per_seed < 1 or self.posterior_burn_in < 0 or self.posterior_thin < 1:
             raise ConfigurationError("invalid subset configuration")
 
 
@@ -134,13 +134,12 @@ def subset_estimate(
 ) -> SubsetResult:
     """Estimate P(R >= threshold) by subset sampling.
 
-    `step_sizes` are the random-walk scales used both for posterior
-    initialization (inversion setting) and the conditional-level kernels.
+    `step_sizes` are the random-walk scales of the chain that draws the
+    initial population in the inversion setting; the conditional-level
+    kernels take theirs from the spread of each level's seeds.
     """
     final_t = query.threshold
     thetas, budget = _initial_population(problem, cfg, rng, step_sizes)
-    if step_sizes is None:
-        step_sizes = np.ones(problem.dim)
     rs = problem.qoi(thetas)
     log_targets = problem.log_target(thetas)
     n = cfg.n_samples

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from rareebm.cli import main
+from rareebm.errors import ConfigurationError
+from rareebm.harness import load_config
 
 
 def _tiny_config():
@@ -105,12 +107,60 @@ def test_run_malformed_value(tmp_path, path, value):
         "method": {"grid": {"lo": -10.0, "hi": 100.0, "h": 0.1}, "max_steps": 1},
         "runs": {"n_runs": 1},
     }
+    _assert_rejected_at_load(tmp_path, _with(cfg, path, value))
+
+
+def _with(cfg, path, value):
+    """cfg with the dotted key path set to value."""
     *sections, key = path.split(".")
     node = cfg
     for section in sections:
         node = node.setdefault(section, {})
     node[key] = value
+    return cfg
+
+
+def _assert_rejected_at_load(tmp_path, cfg):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     assert main(["--out-dir", str(tmp_path / "out"), "run", str(config)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def _small(problem, kind, threshold):
+    return {
+        "problem": {"name": problem},
+        "query": {"thresholds": [threshold]},
+        "method": {"kind": kind, "max_steps": 1},
+        "runs": {"n_runs": 1},
+    }
+
+
+# Each of these once loaded and then failed late (or not at all): a traceback,
+# an error after tuning or after every replicate, or a subset run that
+# silently moved by a random walk.
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _with(_small("contamination", "ebm", 20.0), "method.proposal.kind", "pcn"),
+        _with(_small("four_branch", "subset", 0.0), "method.proposal.kind", "pcn"),
+        _with(_small("contamination", "ebm", 20.0), "problem.seed", -1),
+        _with(_small("four_branch", "ebm", 0.0), "runs.base_seed", -5),
+        _with(_small("contamination", "subset", 20.0), "method.subset.posterior_thin", 0),
+        _with(_small("four_branch", "ebm", 0.0), "runs.reference", [1e-3, 1e-4]),
+    ],
+    ids=["contamination_pcn", "subset_pcn", "negative_problem_seed", "negative_base_seed", "posterior_thin_0",
+         "reference_length"],
+)
+def test_rejected_by_load_config(tmp_path, cfg):
+    with pytest.raises(ConfigurationError):
+        load_config(cfg)
+    _assert_rejected_at_load(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("beta", [1.5, -0.5, [0.5, 1.5], [0.5, 0.0], [0.5, 0.5, 0.5], []])
+def test_pcn_beta_out_of_range_or_too_long_is_rejected_by_load_config(tmp_path, beta):
+    cfg = _with(_small("four_branch", "ebm", 0.0), "method.proposal", {"kind": "pcn", "beta": beta})
+    with pytest.raises(ConfigurationError):
+        load_config(cfg)
+    _assert_rejected_at_load(tmp_path, cfg)

@@ -60,11 +60,9 @@ class TestFreeEnergy:
         grid = GridFunction.zeros(-5.0, 5.0, 0.01)
         p_ref = Gev(location=0.0, scale=1.0, shape=0.5)  # support r >= -2
         est = free_energy_from_bias(GridBias.zero(-5, 5, 0.01), p_ref, grid)
-        assert not est.support_mask[grid.node_index(-3.0)]
-        assert est.support_mask[grid.node_index(0.0)]
-        assert est.density.values[grid.node_index(-3.0)] == 0.0
-        # outside the support the free energy is a large finite stand-in
-        assert np.isfinite(est.free_energy.values).all()
+        # zero outside the support; inside it, positive wherever p_ref has not underflowed
+        assert np.all(est.density.values[grid.xs < -2.0 - 1e-9] == 0.0)
+        assert np.all(est.density.values[grid.xs >= -1.0] > 0.0)
 
     def test_gauge_invariance(self, grid):
         p_ref = Gaussian(0.0, 2.0)

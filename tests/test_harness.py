@@ -8,7 +8,6 @@ import pytest
 from rareebm.errors import ConfigurationError
 from rareebm.harness import (
     TABLE_ROWS,
-    _problem_dim,
     build_problem,
     load_config,
     run_experiment,
@@ -224,15 +223,6 @@ class TestRunExperiment:
         at_zero, at_five = run_experiment(cfg).per_threshold
         assert at_zero.reference == pytest.approx(6.9e-5, rel=0.01) and at_zero.rmse is not None
         assert at_five.reference is None and at_five.rmse is None
-
-
-@pytest.mark.parametrize(
-    "pcfg",
-    [{"name": "contamination"}, {"name": "four_branch"}, {"name": "load_capacity", "n_components": 100}],
-)
-def test_problem_dim_matches_the_built_problem(pcfg):
-    pcfg = load_config({"problem": pcfg, "method": {"kind": "subset"}})["problem"]
-    assert _problem_dim(pcfg) == build_problem(pcfg).problem.dim
 
 
 def test_table_registry_configs_load():

@@ -61,7 +61,6 @@ class TestContamination:
         a = contamination_problem(ContaminationSpec(rng_seed=11))
         b = contamination_problem(ContaminationSpec(rng_seed=11))
         np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(a.truth, b.truth)
         c = contamination_problem(ContaminationSpec(rng_seed=12))
         assert not np.array_equal(a.data, c.data)
 

@@ -16,7 +16,7 @@ from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.errors import ConfigurationError
-from rareebm.harness import load_config
+from rareebm.harness import load_config, run_replicate
 from rareebm.ksd import (
     KsdTestConfig,
     KsdTestResult,
@@ -450,6 +450,12 @@ configs = st.fixed_dictionaries(
 @settings(max_examples=50, deadline=None)
 @given(cfg=configs)
 def test_load_config_is_idempotent(cfg):
+    proposal = cfg["method"]["proposal"]["kind"]
+    if proposal == "pcn" and (cfg["method"]["kind"] == "subset" or cfg["problem"]["name"] == "contamination"):
+        # a subset run moves by a random walk, and contamination has no standard-normal transform
+        with pytest.raises(ConfigurationError):
+            load_config(cfg)
+        return
     once = load_config(cfg)
     assert load_config(once) == once
     # summary.json stores the loaded config as JSON; it must load back unchanged
@@ -503,3 +509,42 @@ def test_shipped_configs_load_unchanged_and_a_mistyped_leaf_is_rejected(name, da
     node[path[-1]] = JSON_VALUES[data.draw(st.sampled_from(other))]
     with pytest.raises(ConfigurationError):
         load_config(broken)
+
+
+PROPOSAL_THRESHOLDS = {"contamination": 20.0, "four_branch": 0.0, "load_capacity": 0.0}
+betas = st.one_of(
+    st.just(0.0),  # tune beta, or no beta for a random walk
+    st.sampled_from([0.3, 1.0, -0.5, 1.5]),
+    st.lists(st.sampled_from([0.3, 1.0]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([0.0, 0.3, 1.0, -0.5, 1.5]), max_size=12),  # the dims are 9, 2 and 3
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(sorted(PROPOSAL_THRESHOLDS)),
+    kind=st.sampled_from(["ebm", "subset"]),
+    proposal=st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn", "default"]), "beta": betas}),
+)
+@example(problem="contamination", kind="ebm", proposal={"kind": "pcn", "beta": 0.0})
+@example(problem="load_capacity", kind="ebm", proposal={"kind": "default", "beta": [0.3, 1.0]})
+@example(problem="load_capacity", kind="subset", proposal={"kind": "default", "beta": 0.0})
+def test_a_proposal_section_that_loads_runs(problem, kind, proposal):
+    user = {
+        "problem": {"name": problem, "n_components": 2},
+        "query": {"thresholds": [PROPOSAL_THRESHOLDS[problem]]},
+        "method": {
+            "kind": kind,
+            "max_steps": 1,
+            "chain": {"burn_in": 10, "thin": 1, "n_keep": 20},
+            "proposal": {**proposal, "pilot_steps": 200},
+            "subset": {"n_samples": 10, "mh_steps_per_seed": 1, "posterior_burn_in": 10, "posterior_thin": 2},
+        },
+        "runs": {"n_runs": 1},
+    }
+    try:
+        cfg = load_config(user)
+    except ConfigurationError:
+        return
+    # neither a ConfigurationError nor any other ValueError may surface after load
+    run_replicate(cfg, 0)
