@@ -24,7 +24,7 @@ import numpy as np
 
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction
-from rareebm.errors import ConfigurationError, TrainingError
+from rareebm.errors import ConfigurationError, NumericError, TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import ChainConfig, Pcn, Proposal, RandomWalk, tune_pcn_beta, tune_step_sizes
@@ -74,7 +74,7 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "grad_clip": 0.0,  # componentwise gradient cap; 0 disables
         "kde_bandwidth": 0.0,  # fixed KDE bandwidth; 0 selects data-driven
         "chain": {"burn_in": 100, "thin": 10, "n_keep": 125},
-        "proposal": {"kind": ("random_walk", "pcn", "default"), "beta": 0.0, "pilot_steps": 2000, "target_accept": 0.30},
+        "proposal": {"kind": ("random_walk", "pcn"), "beta": 0.0, "pilot_steps": 2000, "target_accept": 0.30},
         "stopping": {"enabled": True, "alpha": 0.95, "a_bs": 0.4, "n_boot": 1000, "min_steps": 5},
         # --- subset ---
         "subset": {
@@ -170,6 +170,12 @@ def load_config(source) -> dict:
             raise ConfigurationError(f"grid does not cover query threshold {t}")
     try:
         _replicate_setup(cfg)
+        # Every problem, method and bias form, so keys the run does not read hold valid values too.
+        for name in _SCHEMA["problem"]["name"]:
+            build_problem(dict(cfg["problem"], name=name))
+        _subset_config(mcfg)
+        for form in _SCHEMA["method"]["form"]:
+            _ebm_setup(dict(mcfg, form=form))
     except (TypeError, ValueError) as exc:  # dataclass validators raise ValueError
         raise ConfigurationError(f"invalid settings: {exc}") from exc
     return cfg
@@ -188,7 +194,6 @@ class ProblemBundle:
     oracle: Optional[Any]  # callable threshold -> truth (None where it does not apply)
     rw_groups: Optional[list] = None
     rw_init_steps: Optional[np.ndarray] = None
-    default_proposal: str = "random_walk"
 
 
 def build_problem(pcfg: dict) -> ProblemBundle:
@@ -212,7 +217,6 @@ def build_problem(pcfg: dict) -> ProblemBundle:
         return ProblemBundle(
             problem=lp.problem,
             oracle=lambda t: lp.oracle_failure_probability() if t == 0.0 else None,
-            default_proposal="pcn",
         )
     raise ConfigurationError(f"unknown problem '{name}'")
 
@@ -327,11 +331,9 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
     if not 0.0 < pc["target_accept"] < 1.0:
         raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
     problem, beta = bundle.problem, pc["beta"]
-    kind = bundle.default_proposal if pc["kind"] == "default" else pc["kind"]
-    if subset:
-        if pc["kind"] == "pcn":
-            raise ConfigurationError("a subset run moves by a random walk, not pcn")
-        kind = "random_walk"
+    kind = pc["kind"]
+    if subset and kind == "pcn":
+        raise ConfigurationError("a subset run moves by a random walk, not pcn")
     tuning = {"target_accept": pc["target_accept"], "pilot_steps": pc["pilot_steps"]}
     if kind == "random_walk":
         if beta != 0.0:
@@ -395,7 +397,7 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
         # The per-iteration kl, ksd and p_hat only feed the trace files.
         train_cfg = dataclasses.replace(train_cfg, diagnostics=cfg["output"]["traces"])
         result = train_bias_potential(bundle.problem, queries[0], p_ref, bias, train_cfg, proposal, grid, rng)
-        window = result.recent_biases or [result.bias]
+        window = result.recent_biases
         if cfg["method"]["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
             # tail once; this cancels oscillation of the bias around its
@@ -501,10 +503,17 @@ def _references_for(cfg: dict, bundle: ProblemBundle, thresholds: list[float]) -
     if ref is not None:
         refs = _as_list(ref)
     elif bundle.oracle is not None:
-        refs = [bundle.oracle(t) for t in thresholds]
+        refs = [_oracle_or_none(bundle.oracle, t) for t in thresholds]
     else:
         refs = [None] * len(thresholds)
     return [None if r is None else float(r) for r in refs]
+
+
+def _oracle_or_none(oracle, threshold: float) -> Optional[float]:
+    try:
+        return oracle(threshold)
+    except NumericError:  # a tail too small for the oracle to resolve has no reference
+        return None
 
 
 def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:

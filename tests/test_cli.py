@@ -98,6 +98,7 @@ def test_traces_rejects_subset(tmp_path):
         ("runs.reference", [1e-3, "x"]),
         ("output.dir", 5),
         ("output.dir", ["out"]),
+        ("method.proposal.kind", "default"),
     ],
 )
 def test_run_malformed_value(tmp_path, path, value):
@@ -148,9 +149,18 @@ def _small(problem, kind, threshold):
         _with(_small("four_branch", "ebm", 0.0), "runs.base_seed", -5),
         _with(_small("contamination", "subset", 20.0), "method.subset.posterior_thin", 0),
         _with(_small("four_branch", "ebm", 0.0), "runs.reference", [1e-3, 1e-4]),
+        # values under keys that the chosen problem, method or bias form does not read
+        {
+            "problem": {"name": "four_branch", "seed": -7, "n_components": 0},
+            "method": {"kind": "subset", "grid": {"lo": 5.0, "hi": 1.0, "h": -1.0}, "stopping": {"alpha": 7.0}},
+        },
+        _with(_small("four_branch", "ebm", 0.0), "method.subset.n_samples", 1),
+        _with(_with(_small("four_branch", "ebm", 0.0), "method.form", "grid"), "method.rbf.kappa", -1),
+        _with(_small("contamination", "ebm", 20.0), "problem.n_components", 0),
     ],
     ids=["contamination_pcn", "subset_pcn", "negative_problem_seed", "negative_base_seed", "posterior_thin_0",
-         "reference_length"],
+         "reference_length", "unread_values", "ebm_subset_n_samples_1", "grid_rbf_kappa_negative",
+         "contamination_n_components_0"],
 )
 def test_rejected_by_load_config(tmp_path, cfg):
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -49,6 +51,24 @@ class TestImhofAgainstClosedForms:
     def test_bounds(self):
         assert imhof_tail(np.ones(2), np.zeros(2), -1.0) == 1.0
         assert imhof_tail(np.array([]), np.array([]), 1.0) == 0.0
+
+
+class TestImhofDeepTails:
+    def test_deep_closed_forms(self):
+        got = imhof_tail(np.ones(1), np.zeros(1), 40.0)
+        assert got == pytest.approx(stats.chi2.sf(40, 1), rel=1e-5, abs=0.0)
+        got = imhof_tail(np.ones(3), np.array([10.0, 0.0, 0.0]), 80.0)
+        assert got == pytest.approx(stats.ncx2.sf(80, 3, 10), rel=1e-5, abs=0.0)
+
+    def test_unresolvable_tail_raises(self):
+        # P(chi2_1 > 80) = 3.7e-19 lies far below the quadrature's error estimate
+        with pytest.raises(NumericError):
+            imhof_tail(np.ones(1), np.zeros(1), 80.0)
+
+    def test_closed_forms_without_mpmath(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        assert imhof_tail(np.ones(1), np.zeros(1), 2.0) == pytest.approx(stats.chi2.sf(2.0, 1), abs=1e-7)
+        assert imhof_tail(np.ones(1), np.array([4.0]), 5.0) == pytest.approx(stats.ncx2.sf(5.0, 1, 4.0), abs=1e-7)
 
 
 class TestGaussianQuadraticTail:

@@ -224,6 +224,14 @@ class TestRunExperiment:
         assert at_zero.reference == pytest.approx(6.9e-5, rel=0.01) and at_zero.rmse is not None
         assert at_five.reference is None and at_five.rmse is None
 
+    def test_contamination_reference_is_null_where_the_oracle_cannot_resolve_the_tail(self):
+        cfg = tiny_ebm_config(problem={"name": "contamination"})
+        cfg["query"]["thresholds"] = [20.0, 40.0]
+        cfg["runs"]["n_runs"] = 1
+        at_20, at_40 = run_experiment(cfg).per_threshold
+        assert at_20.reference == pytest.approx(1.026e-6, rel=1e-3) and at_20.rmse is not None
+        assert at_40.reference is None and at_40.rmse is None
+
 
 def test_table_registry_configs_load():
     from importlib import resources

@@ -82,6 +82,13 @@ class TestContamination:
         p = cp.oracle_tail(20.0)
         assert 0.0 < p < 1.0
 
+    def test_oracle_matches_a_30_digit_evaluation(self):
+        # Imhof's integral on the float64 weights quadratic_form_weights(posterior_mean,
+        # posterior_cov) of the default spec, in mpmath at 30 digits: mp.quad over
+        # [0, 4 pi / 20] plus mp.quadosc beyond it with period 4 pi / 20.
+        p = contamination_problem().oracle_tail(20.0)
+        assert p == pytest.approx(1.02594681477943e-6, rel=1e-8, abs=0.0)
+
     def test_invalid_measured_cells(self):
         with pytest.raises(ConfigurationError):
             ContaminationSpec(measured_cells=(0, 0, 1))

@@ -434,7 +434,7 @@ configs = st.fixed_dictionaries(
                 "form": st.sampled_from(["grid", "rbf"]),
                 "estimate_average": st.sampled_from(["probability", "potential"]),
                 "momentum": st.floats(0.0, 1.0, exclude_max=True),
-                "proposal": st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn", "default"])}),
+                "proposal": st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn"])}),
                 "p_ref": st.fixed_dictionaries({"kind": st.sampled_from(["gaussian", "gev"])}),
                 "learning_rate": st.sampled_from([{"kind": "constant"}, {"kind": "exp_decay", "factor": -0.01}]),
                 "subset": st.fixed_dictionaries(
@@ -524,11 +524,11 @@ betas = st.one_of(
 @given(
     problem=st.sampled_from(sorted(PROPOSAL_THRESHOLDS)),
     kind=st.sampled_from(["ebm", "subset"]),
-    proposal=st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn", "default"]), "beta": betas}),
+    proposal=st.fixed_dictionaries({"kind": st.sampled_from(["random_walk", "pcn"]), "beta": betas}),
 )
 @example(problem="contamination", kind="ebm", proposal={"kind": "pcn", "beta": 0.0})
-@example(problem="load_capacity", kind="ebm", proposal={"kind": "default", "beta": [0.3, 1.0]})
-@example(problem="load_capacity", kind="subset", proposal={"kind": "default", "beta": 0.0})
+@example(problem="load_capacity", kind="ebm", proposal={"kind": "pcn", "beta": [0.3, 1.0]})
+@example(problem="load_capacity", kind="subset", proposal={"kind": "random_walk", "beta": 0.0})
 def test_a_proposal_section_that_loads_runs(problem, kind, proposal):
     user = {
         "problem": {"name": problem, "n_components": 2},
