@@ -141,6 +141,10 @@ class GridFunction:
     hi: float
     h: float
     values: np.ndarray = field(repr=False)
+    # xs as Python floats, for interp's float path; filled on its first use.
+    # lo, hi and the node count never change, so every with_values copy
+    # shares the one list.
+    _node_floats: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h <= 0 or self.hi <= self.lo:
@@ -165,6 +169,21 @@ class GridFunction:
         xs.flags.writeable = False
         return xs
 
+    @cached_property
+    def _value_floats(self) -> memoryview:
+        """The values as a buffer whose items read as Python floats.
+
+        A view, not a copy: it costs no memory per copy of the grid and always
+        reads the current values.
+        """
+        return memoryview(self.values)
+
+    def __getstate__(self):
+        # A memoryview cannot be pickled or deep-copied; the copy builds its own.
+        state = self.__dict__.copy()
+        state.pop("_value_floats", None)
+        return state
+
     def same_domain(self, other: "GridFunction") -> bool:
         return (
             math.isclose(self.lo, other.lo)
@@ -185,29 +204,32 @@ class GridFunction:
         A float r (one MH proposal) skips np.interp's Python wrapper: the
         node comes from the equispaced spacing, checked against xs, and
         np.interp's own formula is evaluated in floats, so the value is the
-        same bit for bit.
+        same bit for bit. Nodes and values are read as Python floats from the
+        shared node list and the value buffer, not through ndarray.item.
         """
         if not isinstance(r, float):
             return np.interp(np.asarray(r, dtype=float), self.xs, self.values)
-        xs, fp = self.xs, self.values
-        last = len(fp) - 1
-        lo, hi = xs.item(0), xs.item(last)
+        xs, fp = self._node_floats, self._value_floats
+        if not xs:
+            xs.extend(self.xs.tolist())
+        last = len(xs) - 1
+        lo, hi = xs[0], xs[last]
         if r <= lo:
-            return fp.item(0)
+            return fp[0]
         if r >= hi:
-            return fp.item(last)
+            return fp[last]
         if r != r:  # NaN
             return r
         # lo < r < hi: xs[j] <= r < xs[j + 1] after at most a step of correction.
         j = min(int((r - lo) / ((hi - lo) / last)), last - 1)
-        while xs.item(j) > r:
+        while xs[j] > r:
             j -= 1
-        while xs.item(j + 1) <= r:
+        while xs[j + 1] <= r:
             j += 1
-        x0, y0 = xs.item(j), fp.item(j)
+        x0, y0 = xs[j], fp[j]
         if x0 == r:
             return y0
-        x1, y1 = xs.item(j + 1), fp.item(j + 1)
+        x1, y1 = xs[j + 1], fp[j + 1]
         slope = (y1 - y0) / (x1 - x0)
         res = slope * (r - x0) + y0
         if res != res:  # np.interp's fallback when the slope overflows
@@ -217,7 +239,9 @@ class GridFunction:
         return res
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))
+        grid = GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))
+        object.__setattr__(grid, "_node_floats", self._node_floats)
+        return grid
 
 
 def grid_integral(g: GridFunction, a: float, b: float) -> float:

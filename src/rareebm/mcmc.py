@@ -47,9 +47,16 @@ class RandomWalk:
         return 1.0, s if s.shape == (dim,) else np.full(dim, float(s))
 
     def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(log base density, r, theta) at the latent point x."""
+        """(log base density, r, theta) at the latent point x.
+
+        The log target is summed in floats: the same IEEE addition as
+        `problem.log_target`'s one-element array add, without its overhead.
+        """
         row = x[None, :]
-        return problem.log_target(row).item(), problem.qoi(row).item(), x
+        log_base = problem.log_prior(row).item()
+        if problem.log_likelihood is not None:
+            log_base += problem.log_likelihood(row).item()
+        return log_base, problem.qoi(row).item(), x
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import pickle
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,11 @@ class TestGridBias:
         # constant beyond edges
         assert b(np.array([-10.0]))[0] == pytest.approx(0.0)
         assert b(np.array([10.0]))[0] == pytest.approx(4.0)
+
+    def test_pickles_and_deep_copies_after_a_float_read(self):
+        b = GridBias(GridFunction(0.0, 2.0, 1.0, np.array([0.0, 1.0, 4.0])))
+        assert b(1.5) == 2.5  # fills the float caches
+        for copy in (pickle.loads(pickle.dumps(b)), deepcopy(b)):
+            assert copy(1.5) == 2.5 and copy(0.5) == 0.5
+            np.testing.assert_array_equal(copy.params, b.params)
+            assert copy.with_params(np.array([4.0, 1.0, 0.0]))(0.5) == 2.5

@@ -35,7 +35,14 @@ from rareebm.mcmc import (
     tune_pcn_beta,
     tune_step_sizes,
 )
-from rareebm.problems import ContaminationSpec, LoadCapacitySpec, RareEventQuery, contamination_problem, load_capacity_problem
+from rareebm.problems import (
+    ContaminationSpec,
+    LoadCapacitySpec,
+    RareEventQuery,
+    contamination_problem,
+    four_branch_problem,
+    load_capacity_problem,
+)
 from rareebm.subset import _MAX_LEVELS, AdaptiveSchedule, FixedLogSchedule, SubsetConfig, subset_estimate
 
 seeds = st.integers(0, 2**32 - 1)
@@ -293,10 +300,18 @@ def test_wild_bootstrap_result_is_the_cumprod_chain_result(n, shift, a_bs, n_boo
     k=st.integers(0, 2000),
     u=st.floats(-0.25, 1.25),
 )
+# r from u exactly on an interior node, on the lower edge and on the upper edge
+@example(lo=0.0, h=0.5, n=5, scale=1.0, seed=0, k=1, u=0.5)
+@example(lo=0.0, h=0.5, n=5, scale=1.0, seed=0, k=1, u=0.0)
+@example(lo=0.0, h=0.5, n=5, scale=1.0, seed=0, k=1, u=1.0)
 def test_scalar_grid_bias_is_np_interp_bit_for_bit(lo, h, n, scale, seed, k, u):
-    values = scale * np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    values = scale * rng.standard_normal(n)
     grid = GridFunction(lo, lo + (n - 1) * h, h, values)
     bias = GridBias(grid)
+    # read only after the original's float reads, whose node list it shares
+    other = scale * rng.standard_normal(n)
+    copy = bias.with_params(other)
     xs = grid.xs
     k %= n
     edges = [xs[0], xs[-1]]
@@ -314,6 +329,9 @@ def test_scalar_grid_bias_is_np_interp_bit_for_bit(lo, h, n, scale, seed, k, u):
         got = bias(x)
         assert type(got) is float
         assert _same(got, float(np.interp(x, xs, values))), x
+    for x in map(float, points):
+        assert _same(copy(x), float(np.interp(x, xs, other))), x
+        assert _same(bias(x), float(np.interp(x, xs, values))), x
 
 
 def _closure_rows(problem, theta):
@@ -348,6 +366,41 @@ def test_load_capacity_closures_on_one_row_equal_the_batched_row(n, n_components
     _closure_rows(problem, theta)
     for i in range(n):
         np.testing.assert_array_equal(problem.from_standard_normal(u[i : i + 1])[0], problem.from_standard_normal(u)[i])
+
+
+def _bits(a: float) -> bytes:
+    return np.float64(a).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["contamination", "four_branch", "load_capacity"]),
+    spread=st.floats(0.01, 10.0),
+    flip=st.integers(-1, 10),
+    seed=seeds,
+)
+# a non-positive capacity lies outside the prior: the log target is -inf
+@example(name="load_capacity", spread=1.0, flip=3, seed=0)
+def test_random_walk_evaluates_the_log_target_and_qoi_bit_for_bit(name, spread, flip, seed):
+    problem = {
+        "contamination": lambda: contamination_problem(ContaminationSpec()).problem,
+        "four_branch": four_branch_problem,
+        "load_capacity": lambda: load_capacity_problem(LoadCapacitySpec()).problem,
+    }[name]()
+    rng = np.random.default_rng(seed)
+    if problem.from_standard_normal is None:
+        x = 1.0 + spread * rng.standard_normal(problem.dim)
+    else:
+        x = problem.from_standard_normal(spread * rng.standard_normal((1, problem.dim)))[0]
+    if name == "load_capacity" and flip >= 0:
+        x[1 + flip % (problem.dim - 1)] *= -1.0
+    log_base, r, theta = RandomWalk(np.ones(problem.dim)).evaluate(problem, x)
+    assert type(log_base) is float and type(r) is float and theta is x
+    assert _bits(log_base) == _bits(problem.log_target(x[None]).item())
+    assert _bits(r) == _bits(problem.qoi(x[None]).item())
+    if name == "load_capacity" and flip >= 0:
+        assert log_base == -math.inf
 
 
 @settings(max_examples=50, deadline=None)
