@@ -40,8 +40,9 @@ class RbfBias:
     # with_params copy shares it and a grid readout is one matrix-vector
     # product.
     _grid_features: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
-    # The centers as a Python list, for bisecting a float's window of reach.
-    _center_list: list = field(init=False, repr=False, compare=False)
+    # The centers as a Python list, for bisecting a float's window of reach;
+    # filled on its first use and shared by every with_params copy, as above.
+    _center_list: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -54,7 +55,6 @@ class RbfBias:
             raise ValueError("kappa must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "centers", b)
-        object.__setattr__(self, "_center_list", b.tolist())
 
     @classmethod
     def zero(cls, n_basis: int, lo: float, hi: float, kappa: float) -> "RbfBias":
@@ -83,9 +83,12 @@ class RbfBias:
             # The product stays over all n features, since a dot over the
             # window alone would group BLAS's sum differently.
             reach = _RBF_CUTOFF / self.kappa
-            lo = bisect.bisect_right(self._center_list, r - reach)
-            hi = bisect.bisect_left(self._center_list, r + reach)
-            feats = np.zeros(len(self._center_list))
+            centers = self._center_list
+            if not centers:
+                centers.extend(self.centers.tolist())
+            lo = bisect.bisect_right(centers, r - reach)
+            hi = bisect.bisect_left(centers, r + reach)
+            feats = np.zeros(len(centers))
             t = feats[lo:hi]
             np.subtract(r, self.centers[lo:hi], out=t)
             np.exp(self._exponent(t), out=t)
@@ -110,6 +113,7 @@ class RbfBias:
     def with_params(self, params) -> "RbfBias":
         bias = RbfBias(np.asarray(params, dtype=float), self.centers, self.kappa)
         object.__setattr__(bias, "_grid_features", self._grid_features)
+        object.__setattr__(bias, "_center_list", self._center_list)
         return bias
 
     with_weights = with_params  # the RBF-specific name of the same constructor

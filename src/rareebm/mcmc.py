@@ -46,11 +46,23 @@ class RandomWalk:
         s = self.step_sizes
         return 1.0, s if s.shape == (dim,) else np.full(dim, float(s))
 
-    def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(log base density, r, theta) at the latent point x.
+    def log_base(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(log base density, theta) at the latent point x.
 
         The log target is summed in floats: the same IEEE addition as
         `problem.log_target`'s one-element array add, without its overhead.
+        """
+        row = x[None, :]
+        log_base = problem.log_prior(row).item()
+        if problem.log_likelihood is not None:
+            log_base += problem.log_likelihood(row).item()
+        return log_base, x
+
+    def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(log base density, r, theta) at the latent point x.
+
+        It repeats log_base's sum rather than calling it, to keep a biased
+        chain's proposal at one method call.
         """
         row = x[None, :]
         log_base = problem.log_prior(row).item()
@@ -88,6 +100,11 @@ class Pcn:
             raise ConfigurationError("pCN beta vector length must match problem dimension")
         return np.sqrt(1.0 - beta * beta), beta
 
+    def log_base(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """(log likelihood, theta) at standard-normal coordinates u."""
+        row = problem.from_standard_normal(u[None, :])
+        return 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item(), row[0]
+
     def evaluate(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(log likelihood, r, theta) at standard-normal coordinates u."""
         row = problem.from_standard_normal(u[None, :])
@@ -112,10 +129,6 @@ class ChainConfig:
     @property
     def total_steps(self) -> int:
         return self.burn_in + self.thin * self.n_keep
-
-
-def _no_bias(r: float) -> float:
-    return 0.0
 
 
 @dataclass
@@ -161,9 +174,13 @@ def mh_run(
     segment (warm start, no extra evaluation). `active` optionally restricts
     the move's noise to a coordinate subset (used during random-walk step
     tuning).
+
+    A biased chain needs each proposal's r before its decision, so it
+    evaluates qoi on one row per proposal. An unbiased chain decides on the
+    base density alone: it evaluates qoi once per block of proposals, over
+    all of that block's rows, and reads r of the kept samples and the final
+    state from it. Either way qoi sees one row per unit of budget.
     """
-    if bias is None:
-        bias = _no_bias
     budget = 0
     if isinstance(init, ChainState):
         x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
@@ -173,8 +190,8 @@ def mh_run(
         if not math.isfinite(log_base):
             raise NumericError("initial point has non-finite base density")
         budget = 1
-    # Both biases return a float for a float r, as _no_bias does.
-    log_value = log_base - bias(r)
+    # Both biases return a float for a float r.
+    log_value = log_base if bias is None else log_base - bias(r)
 
     d = problem.dim
     burn_in, thin, total = cfg.burn_in, cfg.thin, cfg.total_steps
@@ -185,7 +202,7 @@ def mh_run(
         mask = np.zeros(d)
         mask[active] = 1.0
         scale = scale * mask
-    evaluate = proposal.evaluate
+    evaluate, log_base_at = proposal.evaluate, proposal.log_base
     isfinite = math.isfinite
 
     kept_theta = np.empty((cfg.n_keep, d))
@@ -200,10 +217,21 @@ def mh_run(
         m = min(block, total - step_idx)
         steps = scale * rng.standard_normal((m, d))
         log_unifs = np.log(rng.uniform(size=m)).tolist()
+        if bias is None:
+            # An unbiased block reads r after the walk. Until then r holds the
+            # step index of the state's proposal (start - 1 for the state the
+            # block began from), and kept_r the same for the block's samples.
+            proposed = np.empty((m, d))
+            start, r_in, r, first_kept = step_idx, r, step_idx - 1, n_kept
         for step, log_u in zip(steps, log_unifs):
             x_prop = x + step if shift_only else keep * x + step
-            base_prop, r_prop, theta_prop = evaluate(problem, x_prop)
-            value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
+            if bias is None:
+                base_prop, theta_prop = log_base_at(problem, x_prop)
+                proposed[step_idx - start] = theta_prop
+                value_prop, r_prop = base_prop, step_idx
+            else:
+                base_prop, r_prop, theta_prop = evaluate(problem, x_prop)
+                value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
             log_ratio = value_prop - log_value
             if log_ratio >= 0.0 or log_u < log_ratio:
                 x, theta, r, log_base, log_value = x_prop, theta_prop, r_prop, base_prop, value_prop
@@ -214,6 +242,10 @@ def mh_run(
                 n_kept += 1
                 next_kept += thin
             step_idx += 1
+        if bias is None:
+            rs = np.append(problem.qoi(proposed), r_in)  # row -1 is the incoming r
+            kept_r[first_kept:n_kept] = rs[kept_r[first_kept:n_kept].astype(np.intp) - start]
+            r = rs[r - start].item()
     budget += total
 
     # Accepted points are fresh arrays that are never written to, so the

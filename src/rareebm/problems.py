@@ -7,9 +7,11 @@ problem with lognormal component capacities (inversion setting, 1-D
 quadrature oracle).
 
 All problem callables are vectorized: theta is a float array of shape (n, d)
-and the result has shape (n,). They do not promote other shapes; the MH
-kernel calls them on one (1, d) row per proposal, where every array call
-counts.
+and the result has shape (n,), each row's value bit for bit the one a
+single-row call gives. They do not promote other shapes. The MH kernel calls
+the base density on one (1, d) row per proposal, where every array call
+counts; qoi too when the chain is biased, and otherwise once per block over
+the block's proposals.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,14 @@ def scalar_normal_problem() -> TargetProblem:
         to_standard_normal=lambda th: np.asarray(th, dtype=float),
         init_point=np.zeros(1),
     )
+
+
+def counting_qoi(problem: TargetProblem) -> tuple[TargetProblem, list]:
+    """The problem with its qoi wrapped to append the number of rows of each call to the returned list."""
+    rows = []
+
+    def qoi(theta):
+        rows.append(len(theta))
+        return problem.qoi(theta)
+
+    return dataclasses.replace(problem, qoi=qoi), rows

