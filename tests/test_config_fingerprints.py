@@ -4,14 +4,47 @@ Each config in src/rareebm/configs runs two replicates from base seed 1000
 with traces on. Traces leave runs.csv unchanged (tests/test_harness.py), so
 one pass pins both. Subset configs write no traces. A change that moves
 these bytes on purpose must say which and why, and record the new digests.
+
+The configs run in a child process with every BLAS pool at one thread, as
+CI and perfbench/run.py run them. The bytes are pinned for that setting: at
+two OpenBLAS threads the (2001, 500) product of the RBF grid readout rounds
+some rows differently, which moves contamination_ebm_rbf's traces and
+load_capacity_10_rbf's runs.csv.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import rareebm
+
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+# Run in the child: two traced replicates of one shipped config from base seed 1000.
+RUN_CONFIG = """
+import sys
+from importlib import resources
 from rareebm.harness import load_config, run_experiment
+config, out_dir = sys.argv[1:]
+with resources.as_file(resources.files("rareebm") / "configs" / f"{config}.json") as path:
+    cfg = load_config(path)
+cfg["runs"]["n_runs"] = 2
+cfg["runs"]["base_seed"] = 1000
+cfg["output"] = {"dir": out_dir, "traces": True}
+run_experiment(cfg)
+"""
 
 DIGESTS = {
     "contamination_ebm_nonpar": {
@@ -65,12 +98,12 @@ DIGESTS = {
 
 def output_digests(config: str, out_dir) -> dict[str, str]:
     """{file name: sha256} of the CSVs that two traced replicates of a shipped config write."""
-    with resources.as_file(resources.files("rareebm") / "configs" / f"{config}.json") as path:
-        cfg = load_config(path)
-    cfg["runs"]["n_runs"] = 2
-    cfg["runs"]["base_seed"] = 1000
-    cfg["output"] = {"dir": str(out_dir), "traces": True}
-    run_experiment(cfg)
+    src = str(Path(rareebm.__file__).resolve().parents[1])
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RUN_CONFIG, config, str(out_dir)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.csv"))}
 
 
