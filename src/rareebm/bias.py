@@ -103,9 +103,6 @@ class RbfBias:
             self._grid_features[:] = [r, feats]
         return feats @ self.weights
 
-    def weight_gradient(self, r):
-        return self.features(r)
-
     @property
     def params(self) -> np.ndarray:
         return self.weights

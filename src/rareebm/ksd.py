@@ -116,7 +116,7 @@ def ksd_statistic(kmat: np.ndarray) -> float:
     """V-statistic KSD: sqrt of the full double sum including the diagonal.
 
     `kmat` is the samples' Stein kernel matrix, `stein_kernel_matrix(samples,
-    samples, p_ref, cfg)` (training shares one with the wild bootstrap).
+    samples, p_ref, cfg)`.
     """
     n = len(kmat)
     if n < 2:
@@ -136,7 +136,6 @@ def wild_bootstrap_test(
     kernel_cfg: SteinKernelConfig,
     test_cfg: KsdTestConfig,
     rng: np.random.Generator,
-    kmat: np.ndarray | None = None,
 ) -> KsdTestResult:
     """Goodness-of-fit test of the samples against p_ref.
 
@@ -144,7 +143,8 @@ def wild_bootstrap_test(
     replicates multiply the kernel matrix entries by W_i W_j where W is a
     sign chain flipping with probability a_bs. The null (samples follow
     p_ref) is rejected when the p-value falls below the test size 1 - alpha.
-    `kmat` is the samples' Stein kernel matrix if already built.
+    The Stein kernel matrix is built only once the samples pass the
+    degenerate-sample check.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -153,8 +153,7 @@ def wild_bootstrap_test(
     if float(np.var(samples)) < 1e-12:
         # Degenerate chain segment: no information, report as not stopped.
         return KsdTestResult(reject=True, p_value=0.0, statistic=float("inf"), skipped=True)
-    if kmat is None:
-        kmat = stein_kernel_matrix(samples, samples, p_ref, kernel_cfg)
+    kmat = stein_kernel_matrix(samples, samples, p_ref, kernel_cfg)
     if not np.any(kmat):
         raise EstimationError("degenerate Stein kernel matrix")
     s_obs = float(kmat.sum()) / n**2

@@ -47,7 +47,7 @@ class RandomWalk:
         return 1.0, s if s.shape == (dim,) else np.full(dim, float(s))
 
     def log_base(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log base density, theta) at the latent point x.
+        """(log base density, theta row of shape (1, d)) at the latent point x.
 
         The log target is summed in floats: the same IEEE addition as
         `problem.log_target`'s one-element array add, without its overhead.
@@ -56,19 +56,7 @@ class RandomWalk:
         log_base = problem.log_prior(row).item()
         if problem.log_likelihood is not None:
             log_base += problem.log_likelihood(row).item()
-        return log_base, x
-
-    def evaluate(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(log base density, r, theta) at the latent point x.
-
-        It repeats log_base's sum rather than calling it, to keep a biased
-        chain's proposal at one method call.
-        """
-        row = x[None, :]
-        log_base = problem.log_prior(row).item()
-        if problem.log_likelihood is not None:
-            log_base += problem.log_likelihood(row).item()
-        return log_base, problem.qoi(row).item(), x
+        return log_base, row
 
 
 @dataclass(frozen=True)
@@ -101,16 +89,9 @@ class Pcn:
         return np.sqrt(1.0 - beta * beta), beta
 
     def log_base(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log likelihood, theta) at standard-normal coordinates u."""
+        """(log likelihood, theta row of shape (1, d)) at standard-normal coordinates u."""
         row = problem.from_standard_normal(u[None, :])
-        return 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item(), row[0]
-
-    def evaluate(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(log likelihood, r, theta) at standard-normal coordinates u."""
-        row = problem.from_standard_normal(u[None, :])
-        r = problem.qoi(row).item()
-        ll = 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item()
-        return ll, r, row[0]
+        return 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item(), row
 
 
 Proposal = RandomWalk | Pcn
@@ -175,20 +156,23 @@ def mh_run(
     the move's noise to a coordinate subset (used during random-walk step
     tuning).
 
-    A biased chain needs each proposal's r before its decision, so it
-    evaluates qoi on one row per proposal. An unbiased chain decides on the
-    base density alone: it evaluates qoi once per block of proposals, over
-    all of that block's rows, and reads r of the kept samples and the final
-    state from it. Either way qoi sees one row per unit of budget.
+    Each proposal is scored by the proposal's `log_base`, which returns
+    the base density and the point's theta row; mh_run calls qoi itself. A
+    biased chain needs each proposal's r before its decision, so it calls
+    qoi on that row. An unbiased chain decides on the base density alone: it
+    calls qoi once per block of proposals, over all of that block's rows,
+    and reads r of the kept samples and the final state from it. Either way
+    qoi sees one row per unit of budget, the start point's included.
     """
     budget = 0
     if isinstance(init, ChainState):
         x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
     else:
         x = proposal.latent(problem, np.asarray(init, dtype=float))
-        log_base, r, theta = proposal.evaluate(problem, x)
+        log_base, row = proposal.log_base(problem, x)
         if not math.isfinite(log_base):
             raise NumericError("initial point has non-finite base density")
+        r, theta = problem.qoi(row).item(), row[0]
         budget = 1
     # Both biases return a float for a float r.
     log_value = log_base if bias is None else log_base - bias(r)
@@ -202,7 +186,7 @@ def mh_run(
         mask = np.zeros(d)
         mask[active] = 1.0
         scale = scale * mask
-    evaluate, log_base_at = proposal.evaluate, proposal.log_base
+    log_base_at, qoi = proposal.log_base, problem.qoi
     isfinite = math.isfinite
 
     kept_theta = np.empty((cfg.n_keep, d))
@@ -225,16 +209,16 @@ def mh_run(
             start, r_in, r, first_kept = step_idx, r, step_idx - 1, n_kept
         for step, log_u in zip(steps, log_unifs):
             x_prop = x + step if shift_only else keep * x + step
+            base_prop, row = log_base_at(problem, x_prop)
             if bias is None:
-                base_prop, theta_prop = log_base_at(problem, x_prop)
-                proposed[step_idx - start] = theta_prop
+                proposed[step_idx - start] = row
                 value_prop, r_prop = base_prop, step_idx
             else:
-                base_prop, r_prop, theta_prop = evaluate(problem, x_prop)
+                r_prop = qoi(row).item()
                 value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
             log_ratio = value_prop - log_value
             if log_ratio >= 0.0 or log_u < log_ratio:
-                x, theta, r, log_base, log_value = x_prop, theta_prop, r_prop, base_prop, value_prop
+                x, theta, r, log_base, log_value = x_prop, row[0], r_prop, base_prop, value_prop
                 accepted_post += step_idx >= burn_in
             if step_idx == next_kept:
                 kept_theta[n_kept] = theta
@@ -243,7 +227,7 @@ def mh_run(
                 next_kept += thin
             step_idx += 1
         if bias is None:
-            rs = np.append(problem.qoi(proposed), r_in)  # row -1 is the incoming r
+            rs = np.append(qoi(proposed), r_in)  # row -1 is the incoming r
             kept_r[first_kept:n_kept] = rs[kept_r[first_kept:n_kept].astype(np.intp) - start]
             r = rs[r - start].item()
     budget += total

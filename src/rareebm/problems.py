@@ -8,10 +8,10 @@ quadrature oracle).
 
 All problem callables are vectorized: theta is a float array of shape (n, d)
 and the result has shape (n,), each row's value bit for bit the one a
-single-row call gives. They do not promote other shapes. The MH kernel calls
-the base density on one (1, d) row per proposal, where every array call
-counts; qoi too when the chain is biased, and otherwise once per block over
-the block's proposals.
+single-row call gives. They do not promote other shapes. A proposal's
+`log_base` calls the base density on one (1, d) row per proposal, where every
+array call counts. The MH kernel calls qoi on that row when the chain is
+biased, and otherwise once per block over the block's rows.
 """
 
 from __future__ import annotations
@@ -285,7 +285,10 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
     def log_prior(theta):
         load, comps = theta[:, 0], theta[:, 1:]
         z = (load - loc) / scale
-        lp = -math.log(scale) - z - np.exp(-z)
+        # A load below about loc - 709.8 * scale overflows exp(-z) to inf,
+        # which gives the right -inf.
+        with np.errstate(over="ignore"):
+            lp = -math.log(scale) - z - np.exp(-z)
         logc = np.log(np.maximum(comps, _TINY))
         comp_lp = -logc - 0.5 * ((logc - mu_i) / sd_i) ** 2 - math.log(sd_i * math.sqrt(2 * math.pi))
         comp_lp = np.where(comps > 0, comp_lp, -np.inf)

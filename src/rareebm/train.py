@@ -140,7 +140,7 @@ def kl_gradient_rbf(bias: RbfBias, ref_samples: np.ndarray, biased_samples: np.n
     biased_samples = np.asarray(biased_samples, dtype=float)
     if len(ref_samples) != len(biased_samples) or len(ref_samples) < 1:
         raise ValueError("need equal, nonzero sample counts")
-    return bias.weight_gradient(ref_samples).mean(axis=0) - bias.weight_gradient(biased_samples).mean(axis=0)
+    return bias.features(ref_samples).mean(axis=0) - bias.features(biased_samples).mean(axis=0)
 
 
 def mle_gradient_rbf(bias: RbfBias, ref_samples: np.ndarray, biased_samples: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def mle_gradient_rbf(bias: RbfBias, ref_samples: np.ndarray, biased_samples: np.
     """
     ref_samples = np.asarray(ref_samples, dtype=float)
     biased_samples = np.asarray(biased_samples, dtype=float)
-    loglik_grad = -bias.weight_gradient(ref_samples).mean(axis=0) + bias.weight_gradient(biased_samples).mean(axis=0)
+    loglik_grad = -bias.features(ref_samples).mean(axis=0) + bias.features(biased_samples).mean(axis=0)
     return -loglik_grad
 
 
@@ -244,20 +244,16 @@ def train_bias_potential(
             err.result = result
             raise err
 
-        p_hat = kl = ksd_val = kmat = None
+        # The score, and with it the Stein kernel, is undefined outside a
+        # bounded support: the trace records a NaN KSD and the stopping test
+        # counts the iteration as a rejection.
+        inside = not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi))
+        p_hat = kl = ksd_val = None
         if cfg.diagnostics:
             p_hat = tail_probability(free_energy_from_bias(bias, p_ref, grid), query.threshold)
             if track_kl and p_v_kde is not None:
                 kl = estimate_kl(p_ref_grid, p_v_kde)
-        testing = cfg.stopping is not None and (it + 1) >= cfg.stopping.min_steps
-        if (cfg.diagnostics or testing) and not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi)):
-            # One Stein kernel matrix serves the traced KSD and the stopping test.
-            kmat = stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)
-        if cfg.diagnostics:
-            # The score, and with it the Stein kernel, is undefined outside a
-            # bounded support: the trace records a non-finite KSD and the
-            # stopping test counts the iteration as a rejection.
-            ksd_val = math.nan if kmat is None else ksd_statistic(kmat)
+            ksd_val = ksd_statistic(stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)) if inside else math.nan
         trace.append(
             TrainRecord(
                 iteration=it,
@@ -269,14 +265,9 @@ def train_bias_potential(
             )
         )
 
-        if testing and kmat is not None:
-            outcome = wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng, kmat=kmat)
-            if not outcome.reject:
+        if inside and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
+            if not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject:
                 stop_reason = "ksd"
                 break
-        # Freed here rather than at the next assignment: held through the next
-        # iteration it sits in the heap under the KDE's temporaries and raises
-        # peak RSS by about 0.5 MB.
-        del kmat
 
     return TrainResult(bias=bias, trace=trace, budget=budget, stop_reason=stop_reason, recent_biases=recent)

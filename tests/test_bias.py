@@ -22,7 +22,6 @@ class TestRbfBias:
         feats = b.features(r)
         expected = np.exp(-(2.0 * (r[:, None] - b.centers)) ** 2)
         np.testing.assert_allclose(feats, expected, rtol=1e-12)
-        np.testing.assert_allclose(b.weight_gradient(r), feats)
         np.testing.assert_allclose(b(r), feats @ b.weights)
 
     def test_validation(self):

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from conftest import scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
-from rareebm.densities import Gaussian, GridFunction, grid_normalize
+from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize
 from rareebm.errors import TrainingError
 from rareebm.estimator import free_energy_from_bias, tail_probability
 from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import ChainConfig, RandomWalk
+import rareebm.train as train
 from rareebm.train import (
     ConstantLr,
     ExpDecayLr,
@@ -221,6 +224,41 @@ class TestTraining:
         assert [(r.budget, r.acceptance) for r in on.trace] == [(r.budget, r.acceptance) for r in off.trace]
         assert all(r.kl is not None and r.ksd is not None and r.p_hat is not None for r in on.trace)
         assert all(r.kl is None and r.ksd is None and r.p_hat is None for r in off.trace)
+
+    def test_samples_outside_a_bounded_support_record_nan_and_never_stop(self, monkeypatch):
+        # GEV with shape 0.5 has support r > -1: the standard-normal chain falls below it
+        problem, _, grid, bias = self._setup()
+        p_ref = Gev(0.0, 0.5, 0.5)
+        edge = p_ref.support()[0]
+        chains, tested = [], []
+
+        def recording_mh_run(*args, **kwargs):
+            res = mh_run(*args, **kwargs)
+            chains.append(res.rs)
+            return res
+
+        def recording_test(samples, *args):
+            tested.append(len(chains) - 1)
+            return wild_bootstrap_test(samples, *args)
+
+        mh_run, wild_bootstrap_test = train.mh_run, train.wild_bootstrap_test
+        monkeypatch.setattr(train, "mh_run", recording_mh_run)
+        monkeypatch.setattr(train, "wild_bootstrap_test", recording_test)
+        from rareebm.problems import RareEventQuery
+        on, off = (
+            train_bias_potential(problem, RareEventQuery(1.0), p_ref, bias,
+                                 self._cfg(max_steps=30, stopping=KsdStopping(min_steps=1), diagnostics=diagnostics),
+                                 RandomWalk(np.array([2.4])), grid, np.random.default_rng(3))
+            for diagnostics in (True, False)
+        )
+        outside = [bool(np.any(rs <= edge)) for rs in chains[: len(on.trace)]]
+        assert any(outside) and not all(outside)
+        assert [math.isnan(rec.ksd) for rec in on.trace] == outside
+        # the stopping test runs on, and can stop at, only the iterations with every sample inside
+        assert tested[: outside.count(False)] == [it for it, out in enumerate(outside) if not out]
+        assert on.stop_reason == off.stop_reason and len(on.trace) == len(off.trace)
+        np.testing.assert_array_equal(on.bias.params, off.bias.params)
+        assert [(r.budget, r.acceptance) for r in on.trace] == [(r.budget, r.acceptance) for r in off.trace]
 
     def test_divergence_raises_with_partial_result(self, rng):
         problem, p_ref, grid, bias = self._setup()
