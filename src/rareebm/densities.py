@@ -192,12 +192,6 @@ class GridFunction:
             and len(self.values) == len(other.values)
         )
 
-    def node_index(self, r: float) -> int:
-        """Nearest grid node to r; r must lie inside [lo, hi]."""
-        if r < self.lo - 1e-12 or r > self.hi + 1e-12:
-            raise NumericError(f"point {r} outside grid [{self.lo}, {self.hi}]")
-        return int(np.clip(round((r - self.lo) / self.h), 0, len(self.values) - 1))
-
     def interp(self, r):
         """Linear interpolation, constant beyond the grid edges.
 
@@ -242,16 +236,6 @@ class GridFunction:
         grid = GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))
         object.__setattr__(grid, "_node_floats", self._node_floats)
         return grid
-
-
-def grid_integral(g: GridFunction, a: float, b: float) -> float:
-    """Trapezoid integral of g over [a, b], bounds snapped to grid nodes."""
-    if a > b:
-        raise NumericError("integration bounds out of order")
-    i, j = g.node_index(a), g.node_index(b)
-    if j <= i:
-        return 0.0
-    return float(np.trapezoid(g.values[i : j + 1], dx=g.h))
 
 
 def grid_normalize(g: GridFunction) -> GridFunction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rareebm.bias import BiasPotential
-from rareebm.densities import GridFunction, ReferenceDensity, grid_integral
+from rareebm.densities import GridFunction, ReferenceDensity
 from rareebm.errors import EstimationError, NumericError
 
 # p_ref below this is treated as zero support; the bias is unidentifiable there.
@@ -56,12 +56,16 @@ def free_energy_from_bias(
 
 
 def tail_probability(est: FreeEnergyEstimate, threshold: float) -> float:
-    """P(R >= threshold): trapezoid integral of p_R from the threshold up."""
+    """P(R >= threshold): trapezoid integral of p_R from the grid node nearest the threshold up.
+
+    From the last node, the integral is over one node and reads 0.0.
+    """
     g = est.density
     if threshold < g.lo - 1e-12 or threshold > g.hi + 1e-12:
         raise NumericError("threshold outside the working grid")
-    p = grid_integral(g, max(threshold, g.lo), g.hi)
-    return float(min(max(p, 0.0), 1.0))
+    i = min(max(round((threshold - g.lo) / g.h), 0), len(g.values) - 1)
+    p = float(np.trapezoid(g.values[i:], dx=g.h))
+    return min(max(p, 0.0), 1.0)
 
 
 def truncated_tail(est: FreeEnergyEstimate, p_tail: float) -> bool:

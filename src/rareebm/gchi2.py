@@ -35,8 +35,8 @@ def quadratic_form_weights(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarra
     b = vecs.T @ mean
     keep = lam > 1e-14 * max(1.0, lam.max(initial=0.0))
     delta2 = np.where(keep, b**2 / np.where(keep, lam, 1.0), 0.0)
-    # Zero-eigenvalue directions contribute the constant b_j^2; fold them in
-    # by shifting the threshold at call sites via `constant_offset`.
+    # Zero-eigenvalue directions contribute the constant b_j^2; the caller
+    # subtracts it from the threshold (`offset` in gaussian_quadratic_tail).
     return lam[keep], delta2[keep]
 
 

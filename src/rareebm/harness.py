@@ -24,7 +24,7 @@ import numpy as np
 
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction
-from rareebm.errors import ConfigurationError, NumericError, TrainingError
+from rareebm.errors import ConfigurationError, NumericError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
 from rareebm.mcmc import ChainConfig, Pcn, Proposal, RandomWalk, tune_pcn_beta, tune_step_sizes
@@ -301,12 +301,9 @@ class ReplicateSetup:
     bundle: ProblemBundle
     queries: list[RareEventQuery]
     method: Any  # SubsetConfig, or the (p_ref, bias, grid, train_cfg) of _ebm_setup
-    proposal: Optional[Proposal] = None  # a fixed proposal
-    tune: Optional[Callable[[np.random.Generator], tuple[Proposal, int]]] = None  # or the tuner that picks one
-
-    def draw_proposal(self, rng: np.random.Generator) -> tuple[Optional[Proposal], int]:
-        """(proposal, tuning budget): the fixed proposal, or the tuner's pick."""
-        return (self.proposal, 0) if self.tune is None else self.tune(rng)
+    # rng -> (proposal, tuning budget): a tuner's pick, a fixed pcn at no cost,
+    # or no proposal for a subset run in the prior setting
+    draw_proposal: Callable[[np.random.Generator], tuple[Optional[Proposal], int]]
 
 
 def _replicate_setup(cfg: dict) -> ReplicateSetup:
@@ -316,11 +313,11 @@ def _replicate_setup(cfg: dict) -> ReplicateSetup:
     subset = mcfg["kind"] == "subset"
     method = _subset_config(mcfg) if subset else _ebm_setup(mcfg)
     queries = [RareEventQuery(float(t)) for t in cfg["query"]["thresholds"]]
-    return ReplicateSetup(bundle, queries, method, *_proposal_choice(mcfg["proposal"], bundle, subset))
+    return ReplicateSetup(bundle, queries, method, _proposal_choice(mcfg["proposal"], bundle, subset))
 
 
 def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
-    """(fixed proposal, tuner) that method.proposal asks for; at most one is set.
+    """The `draw_proposal` that method.proposal asks for.
 
     A subset run moves by a random walk, tuned only in the posterior setting:
     in the prior setting its population is drawn from the prior and every
@@ -339,7 +336,7 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
         if beta != 0.0:
             raise ConfigurationError("method.proposal.beta applies to a pcn proposal only")
         if subset and problem.log_likelihood is None:
-            return None, None
+            return lambda rng: (None, 0)
 
         def tune_walk(rng):
             steps, cost = tune_step_sizes(
@@ -347,7 +344,7 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
             )
             return RandomWalk(steps), cost
 
-        return None, tune_walk
+        return tune_walk
     if problem.to_standard_normal is None:
         raise ConfigurationError("a pcn proposal needs a problem with a standard-normal transform")
     if isinstance(beta, list):
@@ -356,47 +353,45 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
         d = problem.dim
         if not 1 <= len(beta) <= d:
             raise ConfigurationError(f"method.proposal.beta needs 1 to {d} values, got {len(beta)}")
-        return Pcn(np.array(beta + beta[-1:] * (d - len(beta)), dtype=float)), None
-    if beta != 0.0:  # 0 selects a tuned beta
-        return Pcn(beta), None
+        beta = np.array(beta + beta[-1:] * (d - len(beta)), dtype=float)
+    elif beta == 0.0:  # 0 selects a tuned beta
+        def tune_beta(rng):
+            b, cost = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
+            return Pcn(b), cost
 
-    def tune_beta(rng):
-        b, cost = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
-        return Pcn(b), cost
-
-    return None, tune_beta
+        return tune_beta
+    fixed = Pcn(beta)
+    return lambda rng: (fixed, 0)
 
 
 def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
-    """Execute one independent replicate; a failed one keeps the budget it used."""
+    """Execute one independent replicate; a failed one keeps the budget it used.
+
+    The outcome starts as a failure with nothing spent, and each stage
+    records its budget as it finishes, so an error keeps what came before it.
+    """
     rng = np.random.default_rng(cfg["runs"]["base_seed"] + run_index)
     setup = _replicate_setup(cfg)
-    bundle, queries = setup.bundle, setup.queries
-    tuning_budget = 0
+    bundle, queries, traces = setup.bundle, setup.queries, cfg["output"]["traces"]
+    out = RunOutcome(run_index, [math.nan] * len(queries), budget=0, tuning_budget=0, steps=0, stop_reason="error")
     try:
-        proposal, tuning_budget = setup.draw_proposal(rng)
+        proposal, out.tuning_budget = setup.draw_proposal(rng)
         if cfg["method"]["kind"] == "subset":
             step_sizes = None if proposal is None else proposal.step_sizes
-            p_hats, budget, failed = [], 0, False
+            results = []
             for query in queries:
-                res = subset_estimate(bundle.problem, query, setup.method, rng, step_sizes=step_sizes)
-                p_hats.append(res.p_hat)
-                budget += res.budget
-                failed = failed or res.level_failure
-            return RunOutcome(
-                run=run_index,
-                p_hats=p_hats,
-                budget=budget,
-                tuning_budget=tuning_budget,
-                steps=0,
-                stop_reason="level_failure" if failed else "complete",
-            )
+                results.append(subset_estimate(bundle.problem, query, setup.method, rng, step_sizes=step_sizes))
+                out.budget += results[-1].budget
+            out.p_hats = [res.p_hat for res in results]
+            out.stop_reason = "level_failure" if any(res.level_failure for res in results) else "complete"
+            return out
 
         # EBM path
         p_ref, bias, grid, train_cfg = setup.method
         # The per-iteration kl, ksd and p_hat only feed the trace files.
-        train_cfg = dataclasses.replace(train_cfg, diagnostics=cfg["output"]["traces"])
+        train_cfg = dataclasses.replace(train_cfg, diagnostics=traces)
         result = train_bias_potential(bundle.problem, queries[0], p_ref, bias, train_cfg, proposal, grid, rng)
+        out.budget = result.budget
         window = result.recent_biases
         if cfg["method"]["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
@@ -405,28 +400,16 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             window = [window[0].with_params(np.mean([b.params for b in window], axis=0))]
         ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
         tails = [[tail_probability(e, q.threshold) for e in ests] for q in queries]
-        p_hats = [float(np.mean(ps)) for ps in tails]
-        return RunOutcome(
-            run=run_index,
-            p_hats=p_hats,
-            budget=result.budget,
-            tuning_budget=tuning_budget,
-            steps=len(result.trace),
-            stop_reason=result.stop_reason,
-            trace=result.trace if cfg["output"]["traces"] else None,
-            tail_warning=any(truncated_tail(e, p) for ps in tails for e, p in zip(ests, ps)),
-        )
-    except (TrainingError, ArithmeticError) as exc:
-        partial = getattr(exc, "result", None)
-        return RunOutcome(
-            run=run_index,
-            p_hats=[math.nan] * len(queries),
-            budget=0 if partial is None else partial.budget,
-            tuning_budget=tuning_budget,
-            steps=0,
-            stop_reason="error",
-            error=str(exc),
-        )
+        out.p_hats = [float(np.mean(ps)) for ps in tails]
+        out.steps, out.stop_reason = len(result.trace), result.stop_reason
+        out.trace = result.trace if traces else None
+        out.tail_warning = any(truncated_tail(e, p) for ps in tails for e, p in zip(ests, ps))
+    except ArithmeticError as exc:  # NumericError and its TrainingError and EstimationError among them
+        out.error = str(exc)
+        partial = getattr(exc, "result", None)  # training's result so far
+        if partial is not None:
+            out.budget = partial.budget
+    return out
 
 
 # ---------------------------------------------------------------------------

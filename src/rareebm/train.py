@@ -208,66 +208,61 @@ def train_bias_potential(
         raise TrainingError("no chain start point available")
     chain_state = problem.init_point  # raw theta; first mh_run evaluates it (+1 budget)
 
-    for it in range(cfg.max_steps):
-        res = mh_run(problem, proposal, chain_state, cfg.chain, rng, bias=bias)
-        chain_state = res.state
-        budget += res.budget
-        s_samples = res.rs
+    try:
+        for it in range(cfg.max_steps):
+            res = mh_run(problem, proposal, chain_state, cfg.chain, rng, bias=bias)
+            chain_state = res.state
+            budget += res.budget
+            s_samples = res.rs
 
-        p_v_kde = None
-        if is_grid or track_kl:
-            try:
-                p_v_kde = grid_normalize(kde_gaussian(s_samples, grid, bandwidth=cfg.kde_bandwidth))
-            except EstimationError:
-                p_v_kde = None
+            p_v_kde = None
+            if is_grid or track_kl:
+                try:
+                    p_v_kde = grid_normalize(kde_gaussian(s_samples, grid, bandwidth=cfg.kde_bandwidth))
+                except EstimationError:
+                    p_v_kde = None
 
-        lr = cfg.schedule.value(sgdm.step_index)
-        if is_grid:
-            if p_v_kde is None:
-                raise TrainingError("degenerate chain samples: KDE unavailable for grid update")
-            grad = kl_gradient_grid(p_ref_grid, p_v_kde).values
-        else:
-            grad = kl_gradient_rbf(bias, p_ref.sample(rng, cfg.n_grad_samples), s_samples)
-        if cfg.grad_clip is not None:
-            grad = np.clip(grad, -cfg.grad_clip, cfg.grad_clip)
-        delta, sgdm = sgdm_step(sgdm, grad, lr)
-        bias = bias.with_params(bias.params + delta)
-        max_mag = float(np.abs(bias.params).max())
+            lr = cfg.schedule.value(sgdm.step_index)
+            if is_grid:
+                if p_v_kde is None:
+                    raise TrainingError("degenerate chain samples: KDE unavailable for grid update")
+                grad = kl_gradient_grid(p_ref_grid, p_v_kde).values
+            else:
+                grad = kl_gradient_rbf(bias, p_ref.sample(rng, cfg.n_grad_samples), s_samples)
+            if cfg.grad_clip is not None:
+                grad = np.clip(grad, -cfg.grad_clip, cfg.grad_clip)
+            delta, sgdm = sgdm_step(sgdm, grad, lr)
+            bias = bias.with_params(bias.params + delta)
+            max_mag = float(np.abs(bias.params).max())
 
-        recent.append(bias)
-        if len(recent) > cfg.keep_last_biases:
-            recent.pop(0)
+            recent.append(bias)
+            if len(recent) > cfg.keep_last_biases:
+                recent.pop(0)
 
-        if not math.isfinite(max_mag) or max_mag > _ABORT_BIAS_MAGNITUDE:
-            result = TrainResult(bias=bias, trace=trace, budget=budget, stop_reason="diverged", recent_biases=recent)
-            err = TrainingError("bias potential diverged during training")
-            err.result = result
-            raise err
+            if not math.isfinite(max_mag) or max_mag > _ABORT_BIAS_MAGNITUDE:
+                raise TrainingError("bias potential diverged during training")
 
-        # The score, and with it the Stein kernel, is undefined outside a
-        # bounded support: the trace records a NaN KSD and the stopping test
-        # counts the iteration as a rejection.
-        inside = not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi))
-        p_hat = kl = ksd_val = None
-        if cfg.diagnostics:
-            p_hat = tail_probability(free_energy_from_bias(bias, p_ref, grid), query.threshold)
-            if track_kl and p_v_kde is not None:
-                kl = estimate_kl(p_ref_grid, p_v_kde)
-            ksd_val = ksd_statistic(stein_kernel_matrix(s_samples, s_samples, p_ref, kernel)) if inside else math.nan
-        trace.append(
-            TrainRecord(
-                iteration=it,
-                kl=kl,
-                ksd=ksd_val,
-                p_hat=p_hat,
-                budget=budget,
-                acceptance=res.acceptance_rate,
-            )
-        )
+            # The score, and with it the Stein kernel, is undefined outside a
+            # bounded support: the trace records a NaN KSD and the stopping test
+            # counts the iteration as a rejection.
+            inside = not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi))
+            p_hat = kl = ksd_val = None
+            if cfg.diagnostics:
+                p_hat = tail_probability(free_energy_from_bias(bias, p_ref, grid), query.threshold)
+                if track_kl and p_v_kde is not None:
+                    kl = estimate_kl(p_ref_grid, p_v_kde)
+                ksd_val = math.nan
+                if inside:
+                    ksd_val = ksd_statistic(stein_kernel_matrix(s_samples, s_samples, p_ref, kernel))
+            record = TrainRecord(it, kl, ksd_val, p_hat, budget, acceptance=res.acceptance_rate)
+            trace.append(record)
 
-        if inside and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
-            if not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject:
-                stop_reason = "ksd"
-                break
+            if inside and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
+                if not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject:
+                    stop_reason = "ksd"
+                    break
+    except ArithmeticError as exc:  # hand the budget spent so far to the caller
+        exc.result = TrainResult(bias=bias, trace=trace, budget=budget, stop_reason="error", recent_biases=recent)
+        raise
 
     return TrainResult(bias=bias, trace=trace, budget=budget, stop_reason=stop_reason, recent_biases=recent)

@@ -8,12 +8,12 @@ from rareebm.densities import (
     Gaussian,
     Gev,
     GridFunction,
-    grid_integral,
     grid_normalize,
     kde_gaussian,
     nrd_bandwidth,
 )
 from rareebm.errors import EstimationError, NumericError
+from rareebm.estimator import FreeEnergyEstimate, tail_probability
 
 
 class TestGaussian:
@@ -93,9 +93,11 @@ class TestGridFunction:
     def test_construction_and_nodes(self):
         g = GridFunction.zeros(-1.0, 1.0, 0.5)
         np.testing.assert_allclose(g.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
-        assert g.node_index(0.26) == 3
+        # a tail integral starts at the node nearest its threshold: 0.5 for 0.26
+        est = FreeEnergyEstimate(g.with_values([0.0, 0.0, 0.0, 0.4, 0.8]))
+        assert tail_probability(est, 0.26) == pytest.approx(0.5 * (0.4 + 0.8) / 2)
         with pytest.raises(NumericError):
-            g.node_index(2.0)
+            tail_probability(est, 2.0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -120,11 +122,10 @@ class TestGridFunction:
 class TestGridOps:
     def test_grid_integral(self):
         grid = GridFunction.zeros(0.0, 1.0, 0.01)
-        g = grid.with_values(3 * grid.xs**2)
-        assert grid_integral(g, 0.0, 1.0) == pytest.approx(1.0, abs=1e-4)
-        assert grid_integral(g, 0.5, 0.5) == 0.0
-        with pytest.raises(NumericError):
-            grid_integral(g, 0.8, 0.2)
+        est = FreeEnergyEstimate(grid.with_values(3 * grid.xs**2))
+        assert tail_probability(est, 0.0) == pytest.approx(1.0, abs=1e-4)
+        assert tail_probability(est, 0.5) == pytest.approx(0.875, abs=1e-4)
+        assert tail_probability(est, 1.0) == 0.0
 
     def test_grid_normalize(self):
         grid = GridFunction.zeros(-5, 5, 0.01)

@@ -78,6 +78,13 @@ class TestTailProbability:
         assert tail_probability(est, -8.0) == pytest.approx(1.0, abs=1e-6)
         assert tail_probability(est, 8.0) == pytest.approx(0.0, abs=1e-9)
 
+    def test_thresholds_within_rounding_of_the_edges(self, grid):
+        # the range check admits 1e-12 beyond either edge; such a threshold
+        # reads from the edge node
+        est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(0.0, 1.0), grid)
+        assert tail_probability(est, 8.0 + 5e-13) == 0.0
+        assert tail_probability(est, -8.0 - 5e-13) == tail_probability(est, -8.0)
+
     def test_threshold_outside_grid(self, grid):
         est = free_energy_from_bias(GridBias.zero(-8, 8, 0.01), Gaussian(0.0, 1.0), grid)
         with pytest.raises(NumericError):

@@ -165,17 +165,21 @@ class TestRunExperiment:
         assert stats.stop_reasons == {"max_steps": 2}
 
     def test_failed_replicates_keep_budget(self, tmp_path):
-        # the first update of a huge learning rate diverges
-        cfg = tiny_ebm_config()
-        cfg["method"]["learning_rate"] = {"kind": "constant", "gamma": 1e12}
-        cfg["output"] = {"dir": str(tmp_path)}
-        stats = run_experiment(cfg)
-        assert stats.n_failed == 2 and stats.stop_reasons == {"error": 2}
-        segment = 1 + 5 + 2 * 40  # start point, burn-in, thinned steps
-        assert stats.budget_min == stats.budget_max == segment
-        assert stats.tuning_budget_mean == 1 + 4 * 50  # start point, four pilot batches
-        with open(tmp_path / "runs.csv") as fh:
-            assert [int(row["budget"]) for row in csv.DictReader(fh)] == [segment, segment]
+        diverging = tiny_ebm_config()  # the first update of a huge learning rate diverges
+        diverging["method"]["learning_rate"] = {"kind": "constant", "gamma": 1e12}
+        # training completes, then the readout finds no reference mass on the grid
+        unreadable = tiny_ebm_config()
+        unreadable["method"]["p_ref"] = {"kind": "gaussian", "mean": 1e6, "sd": 1.0}
+        segment = 5 + 2 * 40  # burn-in, thinned steps
+        for cfg, budget in [(diverging, 1 + segment), (unreadable, 1 + 3 * segment)]:  # the start point costs 1
+            out_dir = tmp_path / str(budget)
+            cfg["output"] = {"dir": str(out_dir)}
+            stats = run_experiment(cfg)
+            assert stats.n_failed == 2 and stats.stop_reasons == {"error": 2}
+            assert stats.budget_min == stats.budget_max == budget
+            assert stats.tuning_budget_mean == 1 + 4 * 50  # start point, four pilot batches
+            with open(out_dir / "runs.csv") as fh:
+                assert [int(row["budget"]) for row in csv.DictReader(fh)] == [budget, budget]
 
     def test_tail_warnings_counted(self, tmp_path):
         # no training steps: the readout is p_ref itself, which reaches past hi
@@ -266,14 +270,3 @@ def test_traces_leave_runs_csv_unchanged(config, tmp_path):
     traced = _shipped_replicate(config, tmp_path / "traced", traces=True)
     assert not list(plain.glob("trace_*.csv")) and (traced / "trace_0.csv").exists()
     assert (plain / "runs.csv").read_bytes() == (traced / "runs.csv").read_bytes()
-
-
-def test_trace_csv_fingerprint(tmp_path):
-    # kl (the RBF form's own KDE), ksd (median-heuristic Stein kernel of a
-    # Gumbel reference) and p_hat of every iteration; the digest was taken
-    # before training skipped the diagnostics that traces do not ask for
-    import hashlib
-
-    out = _shipped_replicate("load_capacity_10_rbf", tmp_path, traces=True)
-    digest = hashlib.sha256((out / "trace_0.csv").read_bytes()).hexdigest()
-    assert digest == "1c63f7de779ab60eed2868b9e680d198fcae2f168b7380f67611db9d7a5298f2"

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import counting_qoi, scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
-from rareebm.estimator import free_energy_from_bias, tail_probability
-from rareebm.errors import ConfigurationError
+from rareebm.estimator import FreeEnergyEstimate, free_energy_from_bias, tail_probability
+from rareebm.errors import ConfigurationError, NumericError
 from rareebm.harness import load_config, run_replicate
 from rareebm.ksd import (
     KsdTestConfig,
@@ -489,6 +489,46 @@ def test_grid_normalize_integrates_to_one(values, h):
     values[0] += 1.0  # a positive total
     g = grid_normalize(GridFunction(0.0, (len(values) - 1) * h, h, values))
     assert np.trapezoid(g.values, dx=g.h) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def _node_index(g, r):
+    """Nearest grid node to r (GridFunction.node_index before tail_probability took it in)."""
+    if r < g.lo - 1e-12 or r > g.hi + 1e-12:
+        raise NumericError(f"point {r} outside grid [{g.lo}, {g.hi}]")
+    return int(np.clip(round((r - g.lo) / g.h), 0, len(g.values) - 1))
+
+
+def _grid_integral(g, a, b):
+    """Trapezoid integral of g over [a, b], bounds snapped to nodes (densities.grid_integral before it)."""
+    if a > b:
+        raise NumericError("integration bounds out of order")
+    i, j = _node_index(g, a), _node_index(g, b)
+    if j <= i:
+        return 0.0
+    return float(np.trapezoid(g.values[i : j + 1], dx=g.h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    h=st.floats(1e-3, 10.0),
+    values=arrays(float, st.integers(2, 300), elements=st.floats(0.0, 10.0)),
+    k=st.integers(0, 299),
+    u=st.floats(0.0, 1.0),
+)
+# a threshold halfway between two nodes, and on the upper edge
+@example(lo=0.0, h=0.5, values=np.array([0.0, 0.1, 0.2, 0.3, 0.4]), k=0, u=0.625)
+@example(lo=0.0, h=0.5, values=np.array([0.0, 0.1, 0.2, 0.3, 0.4]), k=0, u=1.0)
+def test_tail_probability_is_the_snapped_grid_integral_bit_for_bit(lo, h, values, k, u):
+    n = len(values)
+    g = GridFunction(lo, lo + (n - 1) * h, h, values / (n * h))  # integrals at most 10, mostly below 1
+    est = FreeEnergyEstimate(g)
+    k %= n
+    for t in map(float, [g.xs[k], lo + k * h, lo + (k + 0.5) * h, lo + u * (g.hi - lo), g.lo, g.hi]):
+        t = min(max(t, g.lo), g.hi)
+        expected = float(min(max(_grid_integral(g, max(t, g.lo), g.hi), 0.0), 1.0))
+        got = tail_probability(est, t)
+        assert type(got) is float and got == expected, t
 
 
 @settings(max_examples=30, deadline=None)

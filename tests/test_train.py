@@ -269,6 +269,19 @@ class TestTraining:
                                  RandomWalk(np.array([2.4])), grid, rng)
         assert hasattr(err.value, "result")
 
+    def test_failure_hands_over_the_budget_spent(self, rng):
+        # a step that is never accepted leaves every chain sample at the start
+        # point: the grid update has no KDE after the first segment
+        problem, p_ref, grid, bias = self._setup()
+        from rareebm.problems import RareEventQuery
+        cfg = TrainConfig(max_steps=3, n_grad_samples=40, chain=ChainConfig(burn_in=5, thin=2, n_keep=40),
+                          schedule=ConstantLr(2.0))
+        with pytest.raises(TrainingError, match="degenerate chain samples") as err:
+            train_bias_potential(problem, RareEventQuery(1.0), p_ref, bias, cfg,
+                                 RandomWalk(np.array([1e6])), grid, rng)
+        assert err.value.result.budget == 1 + 5 + 2 * 40  # start point, burn-in, thinned steps
+        assert err.value.result.stop_reason == "error" and err.value.result.trace == []
+
     def test_grad_clip_limits_update(self, rng):
         problem, p_ref, grid, bias = self._setup()
         from rareebm.problems import RareEventQuery
