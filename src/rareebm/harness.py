@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -292,6 +292,7 @@ class RunOutcome:
     error: Optional[str] = None
     trace: Optional[list] = None
     tail_warning: bool = False  # a final readout may be truncated at the grid's upper edge (truncated_tail)
+    extra_rows: int = 0  # base-density rows scored beyond the budget and the tuning budget
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,9 @@ class ReplicateSetup:
     bundle: ProblemBundle
     queries: list[RareEventQuery]
     method: Any  # SubsetConfig, or the (p_ref, bias, grid, train_cfg) of _ebm_setup
-    # rng -> (proposal, tuning budget): a tuner's pick, a fixed pcn at no cost,
-    # or no proposal for a subset run in the prior setting
-    draw_proposal: Callable[[np.random.Generator], tuple[Optional[Proposal], int]]
+    # rng -> (proposal, tuning budget, its extra rows): a tuner's pick, a fixed
+    # pcn at no cost, or no proposal for a subset run in the prior setting
+    draw_proposal: Callable[[np.random.Generator], tuple[Optional[Proposal], int, int]]
 
 
 def _replicate_setup(cfg: dict) -> ReplicateSetup:
@@ -336,13 +337,13 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
         if beta != 0.0:
             raise ConfigurationError("method.proposal.beta applies to a pcn proposal only")
         if subset and problem.log_likelihood is None:
-            return lambda rng: (None, 0)
+            return lambda rng: (None, 0, 0)
 
         def tune_walk(rng):
-            steps, cost = tune_step_sizes(
+            steps, cost, extra = tune_step_sizes(
                 problem, problem.init_point, rng, groups=bundle.rw_groups, init_steps=bundle.rw_init_steps, **tuning
             )
-            return RandomWalk(steps), cost
+            return RandomWalk(steps), cost, extra
 
         return tune_walk
     if problem.to_standard_normal is None:
@@ -356,12 +357,12 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
         beta = np.array(beta + beta[-1:] * (d - len(beta)), dtype=float)
     elif beta == 0.0:  # 0 selects a tuned beta
         def tune_beta(rng):
-            b, cost = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
-            return Pcn(b), cost
+            b, cost, extra = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
+            return Pcn(b), cost, extra
 
         return tune_beta
     fixed = Pcn(beta)
-    return lambda rng: (fixed, 0)
+    return lambda rng: (fixed, 0, 0)
 
 
 def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
@@ -375,13 +376,14 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
     bundle, queries, traces = setup.bundle, setup.queries, cfg["output"]["traces"]
     out = RunOutcome(run_index, [math.nan] * len(queries), budget=0, tuning_budget=0, steps=0, stop_reason="error")
     try:
-        proposal, out.tuning_budget = setup.draw_proposal(rng)
+        proposal, out.tuning_budget, out.extra_rows = setup.draw_proposal(rng)
         if cfg["method"]["kind"] == "subset":
             step_sizes = None if proposal is None else proposal.step_sizes
             results = []
             for query in queries:
                 results.append(subset_estimate(bundle.problem, query, setup.method, rng, step_sizes=step_sizes))
                 out.budget += results[-1].budget
+                out.extra_rows += results[-1].extra_rows
             out.p_hats = [res.p_hat for res in results]
             out.stop_reason = "level_failure" if any(res.level_failure for res in results) else "complete"
             return out
@@ -391,7 +393,8 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
         # The per-iteration kl, ksd and p_hat only feed the trace files.
         train_cfg = dataclasses.replace(train_cfg, diagnostics=traces)
         result = train_bias_potential(bundle.problem, queries[0], p_ref, bias, train_cfg, proposal, grid, rng)
-        out.budget = result.budget
+        out.budget, out.steps = result.budget, len(result.trace)
+        out.extra_rows += result.extra_rows
         window = result.recent_biases
         if cfg["method"]["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
@@ -401,14 +404,15 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
         ests = [free_energy_from_bias(b, p_ref, grid) for b in window]
         tails = [[tail_probability(e, q.threshold) for e in ests] for q in queries]
         out.p_hats = [float(np.mean(ps)) for ps in tails]
-        out.steps, out.stop_reason = len(result.trace), result.stop_reason
+        out.stop_reason = result.stop_reason
         out.trace = result.trace if traces else None
         out.tail_warning = any(truncated_tail(e, p) for ps in tails for e, p in zip(ests, ps))
     except ArithmeticError as exc:  # NumericError and its TrainingError and EstimationError among them
         out.error = str(exc)
         partial = getattr(exc, "result", None)  # training's result so far
         if partial is not None:
-            out.budget = partial.budget
+            out.budget, out.steps = partial.budget, len(partial.trace)
+            out.extra_rows += partial.extra_rows
     return out
 
 
@@ -449,6 +453,7 @@ class RunStatistics:
     tuning_budget_mean: float
     stop_reasons: dict[str, int]
     n_tail_warnings: int = 0  # replicates whose final readout set tail_warning
+    extra_rows: dict = field(default_factory=dict)  # min, max and mean of RunOutcome.extra_rows
 
     def as_dict(self) -> dict:
         return {
@@ -460,6 +465,7 @@ class RunStatistics:
             "tuning_budget_mean": self.tuning_budget_mean,
             "stop_reasons": self.stop_reasons,
             "tail_warnings": self.n_tail_warnings,
+            "extra_rows": self.extra_rows,
         }
 
 
@@ -518,6 +524,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
         for j, t in enumerate(thresholds)
     ]
     budgets = [o.budget for o in outcomes]
+    extra = [o.extra_rows for o in outcomes]
     reasons: dict[str, int] = {}
     for o in outcomes:
         reasons[o.stop_reason] = reasons.get(o.stop_reason, 0) + 1
@@ -531,6 +538,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
         tuning_budget_mean=float(np.mean([o.tuning_budget for o in outcomes])),
         stop_reasons=reasons,
         n_tail_warnings=sum(o.tail_warning for o in outcomes),
+        extra_rows={"min": min(extra), "max": max(extra), "mean": float(np.mean(extra))},
     )
 
     out_dir = cfg["output"]["dir"]

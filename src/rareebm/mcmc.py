@@ -24,6 +24,8 @@ from rareebm.problems import TargetProblem
 
 _STEP_FLOOR = 1e-6
 _STEP_CAP = 1e3
+# Proposals scored per base-density call; no result depends on it.
+_SPECULATION_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -46,17 +48,9 @@ class RandomWalk:
         s = self.step_sizes
         return 1.0, s if s.shape == (dim,) else np.full(dim, float(s))
 
-    def log_base(self, problem: TargetProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log base density, theta row of shape (1, d)) at the latent point x.
-
-        The log target is summed in floats: the same IEEE addition as
-        `problem.log_target`'s one-element array add, without its overhead.
-        """
-        row = x[None, :]
-        log_base = problem.log_prior(row).item()
-        if problem.log_likelihood is not None:
-            log_base += problem.log_likelihood(row).item()
-        return log_base, row
+    def log_base(self, problem: TargetProblem, xs: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """(log targets, theta rows) at the latent rows xs of shape (k, d), which are theta itself."""
+        return problem.log_target(xs).tolist(), xs
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,10 @@ class Pcn:
             raise ConfigurationError("pCN beta vector length must match problem dimension")
         return np.sqrt(1.0 - beta * beta), beta
 
-    def log_base(self, problem: TargetProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log likelihood, theta row of shape (1, d)) at standard-normal coordinates u."""
-        row = problem.from_standard_normal(u[None, :])
-        return 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item(), row
+    def log_base(self, problem: TargetProblem, us: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """(log likelihoods, theta rows) at the standard-normal rows us of shape (k, d)."""
+        rows = problem.from_standard_normal(us)
+        return [0.0] * len(us) if problem.log_likelihood is None else problem.log_likelihood(rows).tolist(), rows
 
 
 Proposal = RandomWalk | Pcn
@@ -136,6 +130,7 @@ class MhResult:
     acceptance_rate: float
     state: ChainState
     budget: int
+    extra_rows: int  # base-density rows scored ahead of an acceptance and discarded
 
 
 def mh_run(
@@ -156,23 +151,27 @@ def mh_run(
     the move's noise to a coordinate subset (used during random-walk step
     tuning).
 
-    Each proposal is scored by the proposal's `log_base`, which returns
-    the base density and the point's theta row; mh_run calls qoi itself. A
-    biased chain needs each proposal's r before its decision, so it calls
-    qoi on that row. An unbiased chain decides on the base density alone: it
-    calls qoi once per block of proposals, over all of that block's rows,
-    and reads r of the kept samples and the final state from it. Either way
-    qoi sees one row per unit of budget, the start point's included.
+    The normals and uniforms of each 1024-step block are drawn up front, so
+    the next proposals are known as long as each of them is rejected: the
+    walk scores up to _SPECULATION_DEPTH of them from the current state with
+    one call of the proposal's `log_base`, takes them in order, and at the
+    first acceptance discards the rest (counted in `extra_rows`). The result
+    does not depend on the depth. A biased chain needs each proposal's r
+    before its decision, so it calls qoi on each row it takes. An unbiased
+    chain decides on the base density alone: it calls qoi once per block,
+    over the block's proposals, and reads r of the kept samples and the
+    final state from it. Either way qoi sees one row per unit of budget, the
+    start point's included.
     """
-    budget = 0
+    budget = extra = 0
     if isinstance(init, ChainState):
         x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
     else:
         x = proposal.latent(problem, np.asarray(init, dtype=float))
-        log_base, row = proposal.log_base(problem, x)
+        (log_base,), rows = proposal.log_base(problem, x[None, :])
         if not math.isfinite(log_base):
             raise NumericError("initial point has non-finite base density")
-        r, theta = problem.qoi(row).item(), row[0]
+        r, theta = problem.qoi(rows).item(), rows[0]
         budget = 1
     # Both biases return a float for a float r.
     log_value = log_base if bias is None else log_base - bias(r)
@@ -207,36 +206,46 @@ def mh_run(
             # block began from), and kept_r the same for the block's samples.
             proposed = np.empty((m, d))
             start, r_in, r, first_kept = step_idx, r, step_idx - 1, n_kept
-        for step, log_u in zip(steps, log_unifs):
-            x_prop = x + step if shift_only else keep * x + step
-            base_prop, row = log_base_at(problem, x_prop)
+        i = 0  # steps of the block walked so far
+        while i < m:
+            k = min(_SPECULATION_DEPTH, m - i)
+            # the next k proposals, each from the current state
+            xs = x + steps[i : i + k] if shift_only else keep * x + steps[i : i + k]
+            bases, rows = log_base_at(problem, xs)
+            for j, (base_prop, log_u) in enumerate(zip(bases, log_unifs[i : i + k])):
+                if bias is None:
+                    value_prop, r_prop = base_prop, step_idx
+                else:
+                    r_prop = qoi(rows[j : j + 1]).item()
+                    value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
+                log_ratio = value_prop - log_value
+                accepted = log_ratio >= 0.0 or log_u < log_ratio
+                if accepted:
+                    x, theta, r, log_base, log_value = xs[j], rows[j], r_prop, base_prop, value_prop
+                    accepted_post += step_idx >= burn_in
+                if step_idx == next_kept:
+                    kept_theta[n_kept] = theta
+                    kept_r[n_kept] = r
+                    n_kept += 1
+                    next_kept += thin
+                step_idx += 1
+                if accepted:
+                    break
             if bias is None:
-                proposed[step_idx - start] = row
-                value_prop, r_prop = base_prop, step_idx
-            else:
-                r_prop = qoi(row).item()
-                value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
-            log_ratio = value_prop - log_value
-            if log_ratio >= 0.0 or log_u < log_ratio:
-                x, theta, r, log_base, log_value = x_prop, row[0], r_prop, base_prop, value_prop
-                accepted_post += step_idx >= burn_in
-            if step_idx == next_kept:
-                kept_theta[n_kept] = theta
-                kept_r[n_kept] = r
-                n_kept += 1
-                next_kept += thin
-            step_idx += 1
+                proposed[i : i + j + 1] = rows[: j + 1]
+            extra += k - j - 1
+            i += j + 1
         if bias is None:
             rs = np.append(qoi(proposed), r_in)  # row -1 is the incoming r
             kept_r[first_kept:n_kept] = rs[kept_r[first_kept:n_kept].astype(np.intp) - start]
             r = rs[r - start].item()
     budget += total
 
-    # Accepted points are fresh arrays that are never written to, so the
-    # state can hold them without copies.
+    # Accepted points are rows of fresh arrays that are never written to, so
+    # the state can hold them without copies.
     state = ChainState(x=x, theta=theta, r=r, log_base=log_base)
     rate = accepted_post / (total - cfg.burn_in)
-    return MhResult(thetas=kept_theta, rs=kept_r, acceptance_rate=rate, state=state, budget=budget)
+    return MhResult(kept_theta, kept_r, rate, state, budget, extra)
 
 
 def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, state, rng, target_accept: float,
@@ -247,17 +256,18 @@ def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, stat
     multiplied by exp(eta * (acceptance - target_accept)), eta = gain /
     sqrt(batch index), and clipped to bounds. `state` is a ChainState or a
     start point, which the first batch evaluates (+1 budget). Returns
-    (value, state, budget).
+    (value, state, budget, extra rows).
     """
-    budget = 0
+    budget = extra = 0
     chain = ChainConfig(burn_in=0, thin=1, n_keep=batch)
     for b in range(1, n_batches + 1):
         res = mh_run(problem, proposal_at(value), state, chain, rng, active=active)
         budget += res.budget
+        extra += res.extra_rows
         state = res.state
         eta = gain / math.sqrt(b)
         value = float(np.clip(value * math.exp(eta * (res.acceptance_rate - target_accept)), *bounds))
-    return value, state, budget
+    return value, state, budget, extra
 
 
 def tune_step_sizes(
@@ -268,13 +278,13 @@ def tune_step_sizes(
     pilot_steps: int = 2000,
     groups: Optional[list[np.ndarray]] = None,
     init_steps: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """Tune random-walk step sizes toward the target acceptance rate.
 
     Coordinates are tuned in groups (default: one group with all of them):
     half the pilot budget adapts each group's shared step scalar with
     proposals that move only that group, the other half a joint multiplier.
-    Returns (per-coordinate step sizes, pilot budget used).
+    Returns (per-coordinate step sizes, pilot budget used, extra rows).
     """
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
@@ -286,7 +296,7 @@ def tune_step_sizes(
     batch = 50
     n_group_batches = max(2, pilot_steps // (2 * batch * len(groups)))
     n_joint_batches = max(2, pilot_steps // (2 * batch))
-    state, budget = np.asarray(init, dtype=float), 0
+    state, budget, extra = np.asarray(init, dtype=float), 0, 0
     for group in groups:
         group = np.asarray(group, dtype=int)
 
@@ -296,18 +306,21 @@ def tune_step_sizes(
             return RandomWalk(np.clip(trial, _STEP_FLOOR, None))
 
         scale = float(np.exp(np.mean(np.log(steps[group]))))
-        scale, state, cost = _adapt(
+        scale, state, cost, cost_extra = _adapt(
             problem, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0,
             (_STEP_FLOOR, _STEP_CAP), active=group,
         )
         budget += cost
+        extra += cost_extra
         steps[group] = scale
 
     def joint_walk(mult):
         return RandomWalk(np.clip(mult * steps, _STEP_FLOOR, None))
 
-    mult, _, cost = _adapt(problem, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4))
-    return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost
+    mult, _, cost, cost_extra = _adapt(
+        problem, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4)
+    )
+    return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost, extra + cost_extra
 
 
 def tune_pcn_beta(
@@ -317,11 +330,12 @@ def tune_pcn_beta(
     target_accept: float = 0.30,
     pilot_steps: int = 2000,
     beta0: float = 0.5,
-) -> tuple[float, int]:
-    """Tune the pCN mixing parameter toward the target acceptance rate."""
+) -> tuple[float, int, int]:
+    """Tune the pCN mixing parameter; returns (beta, pilot budget used, extra rows)."""
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
     n_batches = max(1, pilot_steps // 100)
-    beta, _, budget = _adapt(problem, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0,
-                             (1e-4, 1.0))
-    return beta, budget
+    beta, _, budget, extra = _adapt(
+        problem, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0, (1e-4, 1.0)
+    )
+    return beta, budget, extra

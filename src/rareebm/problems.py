@@ -9,9 +9,10 @@ quadrature oracle).
 All problem callables are vectorized: theta is a float array of shape (n, d)
 and the result has shape (n,), each row's value bit for bit the one a
 single-row call gives. They do not promote other shapes. A proposal's
-`log_base` calls the base density on one (1, d) row per proposal, where every
-array call counts. The MH kernel calls qoi on that row when the chain is
-biased, and otherwise once per block over the block's rows.
+`log_base` scores the base density of up to a few next proposals in one
+call, where every array call counts. The MH kernel calls qoi on each row it
+takes, as a (1, d) view, when the chain is biased, and otherwise once per
+block over the rows it took.
 """
 
 from __future__ import annotations

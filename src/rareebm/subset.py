@@ -74,6 +74,7 @@ class SubsetResult:
     levels: list[LevelDiagnostic]
     budget: int
     level_failure: bool = False
+    extra_rows: int = 0  # base-density rows scored beyond the budget by the initial chain
 
 
 def _initial_population(
@@ -81,12 +82,12 @@ def _initial_population(
     cfg: SubsetConfig,
     rng: np.random.Generator,
     step_sizes: Optional[np.ndarray],
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     n = cfg.n_samples
     if problem.log_likelihood is None:
         if problem.sample_prior is None:
             raise ConfigurationError("traditional setting requires a prior sampler")
-        return problem.sample_prior(rng, n), n
+        return problem.sample_prior(rng, n), n, 0
     if step_sizes is None:
         raise ConfigurationError("posterior initialization requires tuned step sizes")
     res = mh_run(
@@ -96,7 +97,7 @@ def _initial_population(
         ChainConfig(burn_in=cfg.posterior_burn_in, thin=cfg.posterior_thin, n_keep=n),
         rng,
     )
-    return res.thetas, res.budget
+    return res.thetas, res.budget, res.extra_rows
 
 
 def _propagate(
@@ -139,7 +140,7 @@ def subset_estimate(
     kernels take theirs from the spread of each level's seeds.
     """
     final_t = query.threshold
-    thetas, budget = _initial_population(problem, cfg, rng, step_sizes)
+    thetas, budget, extra = _initial_population(problem, cfg, rng, step_sizes)
     rs = problem.qoi(thetas)
     log_targets = problem.log_target(thetas)
     n = cfg.n_samples
@@ -162,12 +163,12 @@ def subset_estimate(
         levels.append(LevelDiagnostic(threshold=t_k, survival_fraction=frac, acceptance=float("nan")))
         p_hat *= frac
         if frac == 0.0:
-            return SubsetResult(p_hat=0.0, levels=levels, budget=budget, level_failure=True)
+            return SubsetResult(0.0, levels, budget, True, extra)
         if last:
-            return SubsetResult(p_hat=p_hat, levels=levels, budget=budget)
+            return SubsetResult(p_hat, levels, budget, False, extra)
         k += 1
         if k > _MAX_LEVELS:
-            return SubsetResult(p_hat=p_hat, levels=levels, budget=budget, level_failure=True)
+            return SubsetResult(p_hat, levels, budget, True, extra)
         surv = rs >= t_k
         idx = np.flatnonzero(surv)
         seeds = rng.choice(idx, size=n, replace=True)

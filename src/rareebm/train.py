@@ -128,6 +128,7 @@ class TrainResult:
     trace: list[TrainRecord]
     budget: int
     stop_reason: str
+    extra_rows: int = 0  # base-density rows scored beyond the budget (MhResult.extra_rows)
     # Biases from the last keep_last_biases iterations (final one included);
     # averaging tail estimates over them damps the stochastic-gradient noise
     # of a single read-out.
@@ -197,7 +198,7 @@ def train_bias_potential(
     sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
     recent: list[BiasPotential] = []
-    budget = 0
+    budget = extra = 0
     stop_reason = "max_steps"
 
     if cfg.max_steps == 0:
@@ -213,6 +214,7 @@ def train_bias_potential(
             res = mh_run(problem, proposal, chain_state, cfg.chain, rng, bias=bias)
             chain_state = res.state
             budget += res.budget
+            extra += res.extra_rows
             s_samples = res.rs
 
             p_v_kde = None
@@ -262,7 +264,7 @@ def train_bias_potential(
                     stop_reason = "ksd"
                     break
     except ArithmeticError as exc:  # hand the budget spent so far to the caller
-        exc.result = TrainResult(bias=bias, trace=trace, budget=budget, stop_reason="error", recent_biases=recent)
+        exc.result = TrainResult(bias, trace, budget, "error", extra, recent)
         raise
 
-    return TrainResult(bias=bias, trace=trace, budget=budget, stop_reason=stop_reason, recent_biases=recent)
+    return TrainResult(bias, trace, budget, stop_reason, extra, recent)

@@ -33,3 +33,22 @@ def counting_qoi(problem: TargetProblem) -> tuple[TargetProblem, list]:
         return problem.qoi(theta)
 
     return dataclasses.replace(problem, qoi=qoi), rows
+
+
+def counting_base(problem: TargetProblem) -> tuple[TargetProblem, list]:
+    """The problem with log_prior and from_standard_normal wrapped to append the number of rows of each call.
+
+    A random walk scores its base density through log_prior and pCN through
+    from_standard_normal, so the list counts a chain's base-density rows.
+    """
+    rows = []
+
+    def counted(f):
+        def g(theta):
+            rows.append(len(theta))
+            return f(theta)
+
+        return g
+
+    names = [name for name in ("log_prior", "from_standard_normal") if getattr(problem, name) is not None]
+    return dataclasses.replace(problem, **{name: counted(getattr(problem, name)) for name in names}), rows

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import counting_base, counting_qoi
+from rareebm import harness
 from rareebm.errors import ConfigurationError
 from rareebm.harness import (
     TABLE_ROWS,
@@ -139,6 +142,40 @@ class TestReplicates:
         assert out.error is None and 0 <= out.p_hats[0] <= 1
 
 
+    def test_base_density_rows_are_the_budget_plus_the_extra_rows(self, monkeypatch):
+        problems = []
+
+        def counting_build_problem(pcfg):
+            bundle = build_problem(pcfg)
+            problem, qoi_rows = counting_qoi(bundle.problem)
+            problem, base_rows = counting_base(problem)
+            problems.append((qoi_rows, base_rows))
+            return dataclasses.replace(bundle, problem=problem)
+
+        monkeypatch.setattr(harness, "build_problem", counting_build_problem)
+        diverging = tiny_ebm_config()
+        diverging["method"]["learning_rate"] = {"kind": "constant", "gamma": 1e12}
+        pcn = tiny_ebm_config()
+        pcn["method"]["proposal"] = {"kind": "pcn", "beta": 0.0, "pilot_steps": 200}  # a tuned beta
+        subset = {
+            "problem": {"name": "contamination"},
+            "query": {"thresholds": [20.0]},
+            "method": {
+                "kind": "subset",
+                "proposal": {"pilot_steps": 200},
+                "subset": {"n_samples": 20, "mh_steps_per_seed": 2, "posterior_burn_in": 10, "posterior_thin": 5},
+            },
+        }
+        # the subset baseline scores its initial population once more, outside the budget
+        for cfg, gap in [(tiny_ebm_config(), 0), (diverging, 0), (pcn, 0), (subset, 20)]:
+            out = run_replicate(load_config(cfg), 0)
+            qoi_rows, base_rows = problems[-1]  # the replicate's own build
+            assert (out.error is None) == (cfg is not diverging)
+            assert sum(qoi_rows) == out.budget + out.tuning_budget + gap
+            assert sum(base_rows) == out.budget + out.tuning_budget + out.extra_rows + gap
+            assert out.extra_rows > 0
+
+
 class TestRunExperiment:
     def test_outputs_written(self, tmp_path):
         cfg = tiny_ebm_config()
@@ -151,6 +188,8 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["statistics"]["n_runs"] == 2
         assert summary["statistics"]["tail_warnings"] == stats.n_tail_warnings
+        extra = summary["statistics"]["extra_rows"]
+        assert extra == stats.extra_rows and 0 < extra["min"] <= extra["mean"] <= extra["max"]
         got = summary["statistics"]["thresholds"][0]["mean"]
         assert got == pytest.approx(stats.per_threshold[0].mean, rel=1e-12)
 
@@ -171,7 +210,8 @@ class TestRunExperiment:
         unreadable = tiny_ebm_config()
         unreadable["method"]["p_ref"] = {"kind": "gaussian", "mean": 1e6, "sd": 1.0}
         segment = 5 + 2 * 40  # burn-in, thinned steps
-        for cfg, budget in [(diverging, 1 + segment), (unreadable, 1 + 3 * segment)]:  # the start point costs 1
+        # the start point costs 1; the diverging update comes before its iteration's record
+        for cfg, budget, steps in [(diverging, 1 + segment, 0), (unreadable, 1 + 3 * segment, 3)]:
             out_dir = tmp_path / str(budget)
             cfg["output"] = {"dir": str(out_dir)}
             stats = run_experiment(cfg)
@@ -179,7 +219,9 @@ class TestRunExperiment:
             assert stats.budget_min == stats.budget_max == budget
             assert stats.tuning_budget_mean == 1 + 4 * 50  # start point, four pilot batches
             with open(out_dir / "runs.csv") as fh:
-                assert [int(row["budget"]) for row in csv.DictReader(fh)] == [budget, budget]
+                rows = list(csv.DictReader(fh))
+            assert [int(row["budget"]) for row in rows] == [budget, budget]
+            assert [int(row["steps"]) for row in rows] == [steps, steps]
 
     def test_tail_warnings_counted(self, tmp_path):
         # no training steps: the readout is p_ref itself, which reaches past hi

@@ -125,7 +125,7 @@ class TestTuning:
     def test_tuned_acceptance_in_band(self):
         problem = scalar_normal_problem()
         rng = np.random.default_rng(17)
-        steps, budget = tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=2000)
+        steps, budget, _ = tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=2000)
         assert budget > 0
         res = mh_run(problem, RandomWalk(steps), np.zeros(1),
                      ChainConfig(burn_in=200, thin=1, n_keep=5000), rng)
@@ -140,7 +140,7 @@ class TestTuning:
 
     def test_tune_pcn_beta(self):
         problem, rows = counting_qoi(four_branch_problem())
-        beta, budget = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
+        beta, budget, _ = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
         assert 0.0 < beta <= 1.0
         assert budget >= 400
         assert sum(rows) == budget  # one qoi row per unit of budget
@@ -148,7 +148,7 @@ class TestTuning:
     def test_grouped_tuning_evaluates_one_qoi_row_per_unit_of_budget(self):
         problem, rows = counting_qoi(contamination_problem().problem)
         groups = [np.arange(0, 9, 2), np.arange(1, 9, 2)]
-        _, budget = tune_step_sizes(problem, problem.init_point, np.random.default_rng(6), pilot_steps=600,
-                                    groups=groups)
+        _, budget, _ = tune_step_sizes(problem, problem.init_point, np.random.default_rng(6), pilot_steps=600,
+                                       groups=groups)
         assert sum(rows) == budget
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import counting_qoi, scalar_normal_problem
+from conftest import counting_base, counting_qoi, scalar_normal_problem
 from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import FreeEnergyEstimate, free_energy_from_bias, tail_probability
@@ -24,10 +24,14 @@ from rareebm.ksd import (
     stein_kernel_matrix,
     wild_bootstrap_test,
 )
+from rareebm import mcmc
 from rareebm.mcmc import (
+    _SPECULATION_DEPTH,
     _STEP_CAP,
     _STEP_FLOOR,
     ChainConfig,
+    ChainState,
+    MhResult,
     Pcn,
     RandomWalk,
     mh_run,
@@ -385,6 +389,22 @@ PROBLEMS = {
 }
 
 
+def _one_row_log_base(problem, proposal, x):
+    """(log base density, theta row of shape (1, d)) at the latent point x: the single-row form of `log_base`.
+
+    The random walk sums its log target in floats, the same IEEE addition
+    as the rows form's array add.
+    """
+    if isinstance(proposal, Pcn):
+        row = problem.from_standard_normal(x[None, :])
+        return 0.0 if problem.log_likelihood is None else problem.log_likelihood(row).item(), row
+    row = x[None, :]
+    log_base = problem.log_prior(row).item()
+    if problem.log_likelihood is not None:
+        log_base += problem.log_likelihood(row).item()
+    return log_base, row
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
@@ -392,38 +412,33 @@ PROBLEMS = {
     pcn=st.booleans(),
     spread=st.floats(0.01, 10.0),
     flip=st.integers(-1, 10),
-    n=st.integers(1, 8),
+    n=st.integers(1, 16),
     seed=seeds,
 )
 # a non-positive capacity lies outside the prior: the log target is -inf
 @example(name="load_capacity", pcn=False, spread=1.0, flip=3, n=1, seed=0)
-def test_proposal_log_base_is_the_batched_base_density_bit_for_bit(name, pcn, spread, flip, n, seed):
+def test_proposal_log_base_rows_are_the_one_row_base_density_bit_for_bit(name, pcn, spread, flip, n, seed):
     problem = PROBLEMS[name]()
     pcn = pcn and problem.from_standard_normal is not None
     u = spread * np.random.default_rng(seed).standard_normal((n, problem.dim))
     if pcn:
-        proposal, xs, rows = Pcn(0.5), u, problem.from_standard_normal(u)
+        proposal, xs = Pcn(0.5), u
     else:
         proposal = RandomWalk(np.ones(problem.dim))
         # the random walk's latent point is theta itself
-        xs = rows = 1.0 + u if problem.from_standard_normal is None else problem.from_standard_normal(u)
+        xs = 1.0 + u if problem.from_standard_normal is None else problem.from_standard_normal(u)
         if name == "load_capacity" and flip >= 0:
             xs[0, 1 + flip % (problem.dim - 1)] *= -1.0
-    rs = problem.qoi(rows)
-    for x, want_row, want_r in zip(xs, rows, rs):
-        log_base, row = proposal.log_base(problem, x)
-        assert type(log_base) is float and row.shape == (1, problem.dim)
-        if not pcn:
-            want = problem.log_target(x[None]).item()
-        elif problem.log_likelihood is None:
-            want = 0.0
-        else:
-            want = problem.log_likelihood(problem.from_standard_normal(x[None])).item()
-        assert _bits(log_base) == _bits(want)
-        assert row.tobytes() == want_row.tobytes()
-        assert _bits(problem.qoi(row).item()) == _bits(want_r)
+    bases, rows = proposal.log_base(problem, xs)
+    assert type(bases) is list and len(bases) == n and rows.shape == (n, problem.dim)
+    for i, x in enumerate(xs):
+        want, want_row = _one_row_log_base(problem, proposal, x)
+        assert type(bases[i]) is float and _bits(bases[i]) == _bits(want)
+        assert rows[i].tobytes() == want_row.tobytes()
+        # a biased chain calls qoi on each row it takes, as a (1, d) view of the rows
+        assert _bits(problem.qoi(rows[i : i + 1]).item()) == _bits(problem.qoi(want_row).item())
     if name == "load_capacity" and flip >= 0 and not pcn:
-        assert proposal.log_base(problem, xs[0])[0] == -math.inf
+        assert bases[0] == -math.inf
 
 
 def _assert_same_chain(a, b):
@@ -467,6 +482,140 @@ def test_unbiased_chain_equals_the_per_row_chain_bit_for_bit(name, pcn, scale, a
         b = mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), active=active, bias=zero)
         _assert_same_chain(a, b)
         a_init, b_init = a.state, b.state
+
+
+def _per_row_mh_run(problem, proposal, init, cfg, rng, active=None, bias=None):
+    """mh_run as it was before speculation: one single-row base-density call per proposal."""
+    budget = 0
+    if isinstance(init, ChainState):
+        x, theta, r, log_base = init.x, init.theta, init.r, init.log_base
+    else:
+        x = proposal.latent(problem, np.asarray(init, dtype=float))
+        log_base, row = _one_row_log_base(problem, proposal, x)
+        r, theta = problem.qoi(row).item(), row[0]
+        budget = 1
+    log_value = log_base if bias is None else log_base - bias(r)
+
+    d = problem.dim
+    keep, scale = proposal.move(d)
+    shift_only = bool(np.all(np.equal(keep, 1.0)))
+    if active is not None:
+        mask = np.zeros(d)
+        mask[active] = 1.0
+        scale = scale * mask
+    kept_theta, kept_r = np.empty((cfg.n_keep, d)), np.empty(cfg.n_keep)
+    n_kept, next_kept, accepted_post, step_idx = 0, cfg.burn_in + cfg.thin - 1, 0, 0
+    while step_idx < cfg.total_steps:
+        m = min(1024, cfg.total_steps - step_idx)
+        steps = scale * rng.standard_normal((m, d))
+        log_unifs = np.log(rng.uniform(size=m)).tolist()
+        if bias is None:
+            proposed = np.empty((m, d))
+            start, r_in, r, first_kept = step_idx, r, step_idx - 1, n_kept
+        for step, log_u in zip(steps, log_unifs):
+            x_prop = x + step if shift_only else keep * x + step
+            base_prop, row = _one_row_log_base(problem, proposal, x_prop)
+            if bias is None:
+                proposed[step_idx - start] = row
+                value_prop, r_prop = base_prop, step_idx
+            else:
+                r_prop = problem.qoi(row).item()
+                value_prop = base_prop - bias(r_prop) if math.isfinite(base_prop) else base_prop
+            log_ratio = value_prop - log_value
+            if log_ratio >= 0.0 or log_u < log_ratio:
+                x, theta, r, log_base, log_value = x_prop, row[0], r_prop, base_prop, value_prop
+                accepted_post += step_idx >= cfg.burn_in
+            if step_idx == next_kept:
+                kept_theta[n_kept], kept_r[n_kept] = theta, r
+                n_kept += 1
+                next_kept += cfg.thin
+            step_idx += 1
+        if bias is None:
+            rs = np.append(problem.qoi(proposed), r_in)
+            kept_r[first_kept:n_kept] = rs[kept_r[first_kept:n_kept].astype(np.intp) - start]
+            r = rs[r - start].item()
+    rate = accepted_post / (cfg.total_steps - cfg.burn_in)
+    state = ChainState(x=x, theta=theta, r=r, log_base=log_base)
+    return MhResult(kept_theta, kept_r, rate, state, budget + cfg.total_steps, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    pcn=st.booleans(),
+    bias_form=st.sampled_from([None, "grid", "rbf"]),
+    # 1e3: a random walk that accepts nothing, so every speculative row is taken
+    scale=st.sampled_from([0.01, 0.1, 0.5, 1.0, 1e3]),
+    active=st.booleans(),
+    # totals of 1 to 2025 steps, on either side of the 1024-step block and of two blocks
+    burn_in=st.sampled_from([0, 1, 1000, 1023, 1024, 1025]),
+    thin=st.sampled_from([1, 2, 25]),
+    n_keep=st.integers(1, 40),
+    depth=st.sampled_from([1, 2, 7, 16]),
+    seed=seeds,
+)
+# load_capacity's walk proposes non-positive capacities, where the log target is -inf
+@example(name="load_capacity", pcn=False, bias_form="grid", scale=0.5, active=False, burn_in=1000, thin=2, n_keep=40,
+         depth=7, seed=0)
+@example(name="load_capacity", pcn=False, bias_form=None, scale=0.5, active=True, burn_in=1023, thin=1, n_keep=2,
+         depth=16, seed=1)
+@example(name="contamination", pcn=False, bias_form="rbf", scale=1e3, active=True, burn_in=1024, thin=25, n_keep=40,
+         depth=16, seed=1)
+def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
+    name, pcn, bias_form, scale, active, burn_in, thin, n_keep, depth, seed
+):
+    problem = PROBLEMS[name]()
+    d = problem.dim
+    pcn = pcn and problem.to_standard_normal is not None and scale <= 1.0
+    proposal = Pcn(scale) if pcn else RandomWalk(np.full(d, scale))
+    active = np.arange(0, d, 2) if active else None
+    cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
+    weights = np.random.default_rng(seed).standard_normal(41)
+    bias = {
+        None: None,
+        "grid": GridBias(GridFunction(-60.0, 60.0, 3.0, weights)),
+        "rbf": RbfBias(weights, np.linspace(-60.0, 60.0, 41), 0.3),
+    }[bias_form]
+    a_init = b_init = problem.init_point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcmc, "_SPECULATION_DEPTH", depth)
+        for segment in range(2):  # a cold start, then a warm start from each chain's own state
+            a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), active=active, bias=bias)
+            b = _per_row_mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), active, bias)
+            _assert_same_chain(a, b)
+            assert 0 <= a.extra_rows <= (depth - 1) * cfg.total_steps
+            a_init, b_init = a.state, b.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    burn_in=st.sampled_from([0, 5, 1000]),
+    thin=st.integers(1, 4),
+    n_keep=st.integers(1, 30),
+    pcn=st.booleans(),
+    biased=st.booleans(),
+    scale=st.sampled_from([0.1, 1.0, 5.0]),
+    seed=seeds,
+)
+def test_base_density_rows_are_the_budget_plus_the_extra_rows(burn_in, thin, n_keep, pcn, biased, scale, seed):
+    problem, qoi_rows = counting_qoi(scalar_normal_problem())
+    problem, base_rows = counting_base(problem)
+    grid = GridFunction.zeros(-5.0, 5.0, 0.5)
+    bias = GridBias(grid.with_values(0.3 * grid.xs)) if biased else None
+    proposal = Pcn(min(scale, 1.0)) if pcn else RandomWalk(np.array([scale]))
+    cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
+    rng = np.random.default_rng(seed)
+    cold = mh_run(problem, proposal, np.zeros(1), cfg, rng, bias=bias)
+    warm = mh_run(problem, proposal, cold.state, cfg, rng, bias=bias)
+    assert sum(qoi_rows) == cold.budget + warm.budget
+    assert sum(base_rows) == cold.budget + cold.extra_rows + warm.budget + warm.extra_rows
+    assert max(base_rows) <= _SPECULATION_DEPTH
+    qoi_rows.clear()
+    base_rows.clear()
+    tune = tune_pcn_beta if pcn else tune_step_sizes
+    _, budget, extra = tune(problem, np.zeros(1), rng, pilot_steps=200)
+    assert sum(qoi_rows) == budget and sum(base_rows) == budget + extra
 
 
 @settings(max_examples=50, deadline=None)
@@ -575,11 +724,11 @@ def test_grid_p_hat_is_invariant_under_a_constant_shift(values, c, threshold):
 def test_tuned_scales_stay_within_their_clip_bounds(target_accept, init_step, beta0, seed):
     problem = scalar_normal_problem()
     rng = np.random.default_rng(seed)
-    steps, _ = tune_step_sizes(
+    steps, _, _ = tune_step_sizes(
         problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, init_steps=np.array([init_step])
     )
     assert np.all((_STEP_FLOOR <= steps) & (steps <= _STEP_CAP))
-    beta, _ = tune_pcn_beta(problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
+    beta, _, _ = tune_pcn_beta(problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
     assert 1e-4 <= beta <= 1.0
 
 
