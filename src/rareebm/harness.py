@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -27,7 +28,7 @@ from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, NumericError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
-from rareebm.mcmc import ChainConfig, Pcn, Proposal, RandomWalk, tune_pcn_beta, tune_step_sizes
+from rareebm.mcmc import ChainConfig, Pcn, Proposal, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
     ContaminationSpec,
     LoadCapacitySpec,
@@ -97,8 +98,8 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_number(v) -> bool:  # finite: json loads NaN, Infinity and integers beyond the float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_numbers(v) -> bool:
@@ -108,15 +109,17 @@ def _is_numbers(v) -> bool:
 # (check, what the error says) of a key's value: by key for the keys that
 # take more than their default's type, else by the default's type.
 _UNION_KEYS = {
-    "method.proposal.beta": (lambda v: _is_number(v) or _is_numbers(v), "a number or a list of numbers"),
-    "runs.reference": (lambda v: v is None or _is_number(v) or _is_numbers(v), "null, a number or a list of numbers"),
+    "method.proposal.beta": (lambda v: _is_number(v) or _is_numbers(v), "a finite number or a list of them"),
+    "runs.reference": (
+        lambda v: v is None or _is_number(v) or _is_numbers(v), "null, a finite number or a list of them"
+    ),
     "output.dir": (lambda v: v is None or isinstance(v, str), "null or a string"),
 }
 _DEFAULT_TYPES = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
-    list: (_is_numbers, "a list of numbers"),
+    float: (_is_number, "a finite number"),
+    list: (_is_numbers, "a list of finite numbers"),
 }
 
 
@@ -302,8 +305,8 @@ class ReplicateSetup:
     bundle: ProblemBundle
     queries: list[RareEventQuery]
     method: Any  # SubsetConfig, or the (p_ref, bias, grid, train_cfg) of _ebm_setup
-    # rng -> (proposal, tuning budget, its extra rows): a tuner's pick, a fixed
-    # pcn at no cost, or no proposal for a subset run in the prior setting
+    # rng -> (proposal, tuning budget, extra rows), as the tuners return them; a
+    # fixed pcn costs nothing, and a subset run in the prior setting has no proposal
     draw_proposal: Callable[[np.random.Generator], tuple[Optional[Proposal], int, int]]
 
 
@@ -338,14 +341,9 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
             raise ConfigurationError("method.proposal.beta applies to a pcn proposal only")
         if subset and problem.log_likelihood is None:
             return lambda rng: (None, 0, 0)
-
-        def tune_walk(rng):
-            steps, cost, extra = tune_step_sizes(
-                problem, problem.init_point, rng, groups=bundle.rw_groups, init_steps=bundle.rw_init_steps, **tuning
-            )
-            return RandomWalk(steps), cost, extra
-
-        return tune_walk
+        return lambda rng: tune_step_sizes(
+            problem, problem.init_point, rng, groups=bundle.rw_groups, init_steps=bundle.rw_init_steps, **tuning
+        )
     if problem.to_standard_normal is None:
         raise ConfigurationError("a pcn proposal needs a problem with a standard-normal transform")
     if isinstance(beta, list):
@@ -356,11 +354,7 @@ def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
             raise ConfigurationError(f"method.proposal.beta needs 1 to {d} values, got {len(beta)}")
         beta = np.array(beta + beta[-1:] * (d - len(beta)), dtype=float)
     elif beta == 0.0:  # 0 selects a tuned beta
-        def tune_beta(rng):
-            b, cost, extra = tune_pcn_beta(problem, problem.init_point, rng, **tuning)
-            return Pcn(b), cost, extra
-
-        return tune_beta
+        return lambda rng: tune_pcn_beta(problem, problem.init_point, rng, **tuning)
     fixed = Pcn(beta)
     return lambda rng: (fixed, 0, 0)
 
@@ -378,10 +372,9 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
     try:
         proposal, out.tuning_budget, out.extra_rows = setup.draw_proposal(rng)
         if cfg["method"]["kind"] == "subset":
-            step_sizes = None if proposal is None else proposal.step_sizes
             results = []
             for query in queries:
-                results.append(subset_estimate(bundle.problem, query, setup.method, rng, step_sizes=step_sizes))
+                results.append(subset_estimate(bundle.problem, query, setup.method, rng, proposal=proposal))
                 out.budget += results[-1].budget
                 out.extra_rows += results[-1].extra_rows
             out.p_hats = [res.p_hat for res in results]

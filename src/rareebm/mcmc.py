@@ -30,14 +30,14 @@ _SPECULATION_DEPTH = 6
 
 @dataclass(frozen=True)
 class RandomWalk:
-    """Gaussian random walk in theta with per-coordinate step sizes."""
+    """Gaussian random walk in theta with per-coordinate step sizes; a zero step holds its coordinate."""
 
     step_sizes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.step_sizes, dtype=float))
-        if np.any(s <= 0):
-            raise ConfigurationError("random-walk step sizes must be positive")
+        if not (np.all(np.isfinite(s) & (s >= 0.0)) and np.any(s > 0.0)):
+            raise ConfigurationError("random-walk step sizes must be finite and >= 0, with one > 0")
         object.__setattr__(self, "step_sizes", s)
 
     def latent(self, problem: TargetProblem, theta: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ class Pcn:
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=float)
-        if np.any(b <= 0.0) or np.any(b > 1.0):
+        if not np.all((b > 0.0) & (b <= 1.0)):  # NaN fails both comparisons
             raise ConfigurationError("pCN beta must lie in (0, 1]")
         object.__setattr__(self, "beta", float(b) if b.ndim == 0 else b)
 
@@ -139,17 +139,15 @@ def mh_run(
     init,
     cfg: ChainConfig,
     rng: np.random.Generator,
-    active: Optional[np.ndarray] = None,
     bias: Optional[BiasPotential] = None,
 ) -> MhResult:
     """Run burn_in + thin*n_keep MH steps and return the thinned samples.
 
     The chain targets the problem's density times exp(-bias(r)), or the
-    problem's density itself when `bias` is None. `init` is either a theta
-    vector (evaluated once, +1 budget) or a ChainState from a previous
-    segment (warm start, no extra evaluation). `active` optionally restricts
-    the move's noise to a coordinate subset (used during random-walk step
-    tuning).
+    problem's density itself when `bias` is None, and moves by `proposal`
+    alone: a random walk holds the coordinates whose step is zero. `init` is
+    either a theta vector (evaluated once, +1 budget) or a ChainState from a
+    previous segment (warm start, no extra evaluation).
 
     The normals and uniforms of each 1024-step block are drawn up front, so
     the next proposals are known as long as each of them is rejected: the
@@ -181,10 +179,6 @@ def mh_run(
     keep, scale = proposal.move(d)
     # 1.0 * x == x exactly, so a move that keeps x (the random walk) skips the product.
     shift_only = bool(np.all(np.equal(keep, 1.0)))
-    if active is not None:
-        mask = np.zeros(d)
-        mask[active] = 1.0
-        scale = scale * mask
     log_base_at, qoi = proposal.log_base, problem.qoi
     isfinite = math.isfinite
 
@@ -249,7 +243,7 @@ def mh_run(
 
 
 def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, state, rng, target_accept: float,
-           batch: int, n_batches: int, gain: float, bounds: tuple[float, float], active=None):
+           batch: int, n_batches: int, gain: float, bounds: tuple[float, float]):
     """Robbins-Monro adaptation of one positive proposal scale.
 
     After each batch of MH steps under proposal_at(value), the value is
@@ -261,7 +255,7 @@ def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, stat
     budget = extra = 0
     chain = ChainConfig(burn_in=0, thin=1, n_keep=batch)
     for b in range(1, n_batches + 1):
-        res = mh_run(problem, proposal_at(value), state, chain, rng, active=active)
+        res = mh_run(problem, proposal_at(value), state, chain, rng)
         budget += res.budget
         extra += res.extra_rows
         state = res.state
@@ -278,13 +272,13 @@ def tune_step_sizes(
     pilot_steps: int = 2000,
     groups: Optional[list[np.ndarray]] = None,
     init_steps: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[RandomWalk, int, int]:
     """Tune random-walk step sizes toward the target acceptance rate.
 
     Coordinates are tuned in groups (default: one group with all of them):
-    half the pilot budget adapts each group's shared step scalar with
-    proposals that move only that group, the other half a joint multiplier.
-    Returns (per-coordinate step sizes, pilot budget used, extra rows).
+    half the pilot budget adapts each group's shared step scalar with a walk
+    whose steps are zero outside the group, the other half a joint
+    multiplier. Returns (tuned walk, pilot budget used, extra rows).
     """
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
@@ -301,14 +295,13 @@ def tune_step_sizes(
         group = np.asarray(group, dtype=int)
 
         def group_walk(scale):
-            trial = steps.copy()
-            trial[group] = scale
-            return RandomWalk(np.clip(trial, _STEP_FLOOR, None))
+            walk = np.zeros(d)
+            walk[group] = max(scale, _STEP_FLOOR)  # the floor of every tuned step
+            return RandomWalk(walk)
 
         scale = float(np.exp(np.mean(np.log(steps[group]))))
         scale, state, cost, cost_extra = _adapt(
-            problem, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0,
-            (_STEP_FLOOR, _STEP_CAP), active=group,
+            problem, group_walk, scale, state, rng, target_accept, batch, n_group_batches, 2.0, (_STEP_FLOOR, _STEP_CAP)
         )
         budget += cost
         extra += cost_extra
@@ -320,7 +313,7 @@ def tune_step_sizes(
     mult, _, cost, cost_extra = _adapt(
         problem, joint_walk, 1.0, state, rng, target_accept, batch, n_joint_batches, 2.0, (1e-4, 1e4)
     )
-    return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost, extra + cost_extra
+    return RandomWalk(np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP)), budget + cost, extra + cost_extra
 
 
 def tune_pcn_beta(
@@ -330,12 +323,12 @@ def tune_pcn_beta(
     target_accept: float = 0.30,
     pilot_steps: int = 2000,
     beta0: float = 0.5,
-) -> tuple[float, int, int]:
-    """Tune the pCN mixing parameter; returns (beta, pilot budget used, extra rows)."""
+) -> tuple[Pcn, int, int]:
+    """Tune the pCN mixing parameter; returns (tuned pCN, pilot budget used, extra rows)."""
     if pilot_steps < 200:
         raise ConfigurationError("pilot_steps must be >= 200")
     n_batches = max(1, pilot_steps // 100)
     beta, _, budget, extra = _adapt(
         problem, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0, (1e-4, 1.0)
     )
-    return beta, budget, extra
+    return Pcn(beta), budget, extra

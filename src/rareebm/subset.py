@@ -81,18 +81,18 @@ def _initial_population(
     problem: TargetProblem,
     cfg: SubsetConfig,
     rng: np.random.Generator,
-    step_sizes: Optional[np.ndarray],
+    proposal: Optional[RandomWalk],
 ) -> tuple[np.ndarray, int, int]:
     n = cfg.n_samples
     if problem.log_likelihood is None:
         if problem.sample_prior is None:
             raise ConfigurationError("traditional setting requires a prior sampler")
         return problem.sample_prior(rng, n), n, 0
-    if step_sizes is None:
-        raise ConfigurationError("posterior initialization requires tuned step sizes")
+    if proposal is None:
+        raise ConfigurationError("posterior initialization requires a tuned random walk")
     res = mh_run(
         problem,
-        RandomWalk(step_sizes),
+        proposal,
         problem.init_point,
         ChainConfig(burn_in=cfg.posterior_burn_in, thin=cfg.posterior_thin, n_keep=n),
         rng,
@@ -131,16 +131,16 @@ def subset_estimate(
     query: RareEventQuery,
     cfg: SubsetConfig,
     rng: np.random.Generator,
-    step_sizes: Optional[np.ndarray] = None,
+    proposal: Optional[RandomWalk] = None,
 ) -> SubsetResult:
     """Estimate P(R >= threshold) by subset sampling.
 
-    `step_sizes` are the random-walk scales of the chain that draws the
-    initial population in the inversion setting; the conditional-level
-    kernels take theirs from the spread of each level's seeds.
+    `proposal` is the tuned random walk of the chain that draws the initial
+    population in the inversion setting; the conditional-level kernels take
+    their steps from the spread of each level's seeds.
     """
     final_t = query.threshold
-    thetas, budget, extra = _initial_population(problem, cfg, rng, step_sizes)
+    thetas, budget, extra = _initial_population(problem, cfg, rng, proposal)
     rs = problem.qoi(thetas)
     log_targets = problem.log_target(thetas)
     n = cfg.n_samples

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_traces_rejects_subset(tmp_path):
         ("output.dir", 5),
         ("output.dir", ["out"]),
         ("method.proposal.kind", "default"),
+        # Python's json writes and reads non-finite floats as NaN and Infinity
+        ("method.proposal.beta", math.nan),
+        ("method.p_ref.scale", math.nan),
+        ("method.p_ref.sd", math.inf),
+        pytest.param("method.p_ref.scale", 10**400, id="method.p_ref.scale-10**400"),  # no float holds it
+        ("method.kde_bandwidth", math.nan),
+        ("method.rbf.kappa", math.nan),
+        ("method.learning_rate.gamma", math.nan),
+        ("method.subset.schedule.start", math.nan),
+        ("runs.reference", math.nan),
+        ("runs.reference", [-math.inf]),
+        ("query.thresholds", [math.nan]),
     ],
 )
 def test_run_malformed_value(tmp_path, path, value):

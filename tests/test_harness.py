@@ -193,6 +193,15 @@ class TestRunExperiment:
         got = summary["statistics"]["thresholds"][0]["mean"]
         assert got == pytest.approx(stats.per_threshold[0].mean, rel=1e-12)
 
+    def test_jobs_write_the_same_bytes(self, tmp_path):
+        # --jobs runs the replicates in worker processes; each draws from its own seed
+        for jobs in (1, 2):
+            cfg = tiny_ebm_config()
+            cfg["output"] = {"dir": str(tmp_path / str(jobs))}
+            run_experiment(cfg, jobs=jobs)
+        for name in ("runs.csv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_reference_mismatch(self):
         cfg = tiny_ebm_config()
         cfg["runs"]["reference"] = [1e-3, 1e-4]

@@ -18,8 +18,10 @@ from rareebm.problems import TargetProblem, contamination_problem, four_branch_p
 
 class TestProposals:
     def test_random_walk_validation(self):
-        with pytest.raises(ConfigurationError):
-            RandomWalk(np.array([1.0, -1.0]))
+        RandomWalk(np.array([0.0, 1.0]))  # a zero step holds its coordinate
+        for bad in ([1.0, -1.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ConfigurationError):
+                RandomWalk(np.array(bad))
 
     def test_pcn_validation(self):
         Pcn(0.5)
@@ -28,6 +30,9 @@ class TestProposals:
             Pcn(0.0)
         with pytest.raises(ConfigurationError):
             Pcn(np.array([0.5, 1.5]))
+        for bad in (float("nan"), np.array([0.5, np.nan]), float("inf")):
+            with pytest.raises(ConfigurationError):
+                Pcn(bad)
 
     def test_pcn_beta_length_checked(self):
         problem = four_branch_problem()
@@ -125,9 +130,9 @@ class TestTuning:
     def test_tuned_acceptance_in_band(self):
         problem = scalar_normal_problem()
         rng = np.random.default_rng(17)
-        steps, budget, _ = tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=2000)
-        assert budget > 0
-        res = mh_run(problem, RandomWalk(steps), np.zeros(1),
+        walk, budget, _ = tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=2000)
+        assert isinstance(walk, RandomWalk) and budget > 0
+        res = mh_run(problem, walk, np.zeros(1),
                      ChainConfig(burn_in=200, thin=1, n_keep=5000), rng)
         assert 0.20 <= res.acceptance_rate <= 0.42
 
@@ -140,8 +145,8 @@ class TestTuning:
 
     def test_tune_pcn_beta(self):
         problem, rows = counting_qoi(four_branch_problem())
-        beta, budget, _ = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
-        assert 0.0 < beta <= 1.0
+        pcn, budget, _ = tune_pcn_beta(problem, np.zeros(2), np.random.default_rng(2), pilot_steps=400)
+        assert isinstance(pcn, Pcn) and 0.0 < pcn.beta <= 1.0
         assert budget >= 400
         assert sum(rows) == budget  # one qoi row per unit of budget
 

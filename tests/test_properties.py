@@ -457,7 +457,7 @@ def _assert_same_chain(a, b):
     # 1e3: a random walk that accepts nothing; a pCN beta of 1 draws afresh from the prior,
     # which load_capacity's likelihood rejects for long stretches
     scale=st.sampled_from([0.01, 0.1, 0.5, 1.0, 1e3]),
-    active=st.booleans(),
+    held=st.booleans(),  # a random walk with zero steps on the odd coordinates
     # totals of 1 to 2025 steps, on either side of the 1024-step block and of two blocks
     burn_in=st.sampled_from([0, 1, 1000, 1023, 1024, 1025]),
     thin=st.sampled_from([1, 2, 25]),
@@ -465,26 +465,33 @@ def _assert_same_chain(a, b):
     seed=seeds,
 )
 # load_capacity's walk proposes non-positive capacities, where the log target is -inf
-@example(name="load_capacity", pcn=False, scale=0.5, active=False, burn_in=1000, thin=2, n_keep=40, seed=0)
-@example(name="contamination", pcn=False, scale=1e3, active=True, burn_in=1024, thin=25, n_keep=40, seed=1)
-def test_unbiased_chain_equals_the_per_row_chain_bit_for_bit(name, pcn, scale, active, burn_in, thin, n_keep, seed):
+@example(name="load_capacity", pcn=False, scale=0.5, held=False, burn_in=1000, thin=2, n_keep=40, seed=0)
+@example(name="contamination", pcn=False, scale=1e3, held=True, burn_in=1024, thin=25, n_keep=40, seed=1)
+def test_unbiased_chain_equals_the_per_row_chain_bit_for_bit(name, pcn, scale, held, burn_in, thin, n_keep, seed):
     problem = PROBLEMS[name]()
-    d = problem.dim
-    pcn = pcn and problem.to_standard_normal is not None and scale <= 1.0
-    proposal = Pcn(scale) if pcn else RandomWalk(np.full(d, scale))
-    active = np.arange(0, d, 2) if active else None
+    proposal = _chain_proposal(problem, pcn, scale, held)
     cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
     # zero everywhere, beyond its edges too: the per-row path, whose r changes no decision
     zero = GridBias.zero(-1e4, 1e4, 1.0)
     a_init = b_init = problem.init_point
     for segment in range(2):  # a cold start, then a warm start from each chain's own state
-        a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), active=active)
-        b = mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), active=active, bias=zero)
+        a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment))
+        b = mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), bias=zero)
         _assert_same_chain(a, b)
         a_init, b_init = a.state, b.state
 
 
-def _per_row_mh_run(problem, proposal, init, cfg, rng, active=None, bias=None):
+def _chain_proposal(problem, pcn, scale, held):
+    """pCN at beta = scale where it applies, else a walk of steps scale, zero on the odd coordinates if held."""
+    if pcn and problem.to_standard_normal is not None and scale <= 1.0:
+        return Pcn(scale)
+    steps = np.full(problem.dim, scale)
+    if held:
+        steps[1::2] = 0.0
+    return RandomWalk(steps)
+
+
+def _per_row_mh_run(problem, proposal, init, cfg, rng, bias=None):
     """mh_run as it was before speculation: one single-row base-density call per proposal."""
     budget = 0
     if isinstance(init, ChainState):
@@ -499,10 +506,6 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, active=None, bias=None):
     d = problem.dim
     keep, scale = proposal.move(d)
     shift_only = bool(np.all(np.equal(keep, 1.0)))
-    if active is not None:
-        mask = np.zeros(d)
-        mask[active] = 1.0
-        scale = scale * mask
     kept_theta, kept_r = np.empty((cfg.n_keep, d)), np.empty(cfg.n_keep)
     n_kept, next_kept, accepted_post, step_idx = 0, cfg.burn_in + cfg.thin - 1, 0, 0
     while step_idx < cfg.total_steps:
@@ -547,7 +550,7 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, active=None, bias=None):
     bias_form=st.sampled_from([None, "grid", "rbf"]),
     # 1e3: a random walk that accepts nothing, so every speculative row is taken
     scale=st.sampled_from([0.01, 0.1, 0.5, 1.0, 1e3]),
-    active=st.booleans(),
+    held=st.booleans(),  # a random walk with zero steps on the odd coordinates
     # totals of 1 to 2025 steps, on either side of the 1024-step block and of two blocks
     burn_in=st.sampled_from([0, 1, 1000, 1023, 1024, 1025]),
     thin=st.sampled_from([1, 2, 25]),
@@ -556,20 +559,17 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, active=None, bias=None):
     seed=seeds,
 )
 # load_capacity's walk proposes non-positive capacities, where the log target is -inf
-@example(name="load_capacity", pcn=False, bias_form="grid", scale=0.5, active=False, burn_in=1000, thin=2, n_keep=40,
+@example(name="load_capacity", pcn=False, bias_form="grid", scale=0.5, held=False, burn_in=1000, thin=2, n_keep=40,
          depth=7, seed=0)
-@example(name="load_capacity", pcn=False, bias_form=None, scale=0.5, active=True, burn_in=1023, thin=1, n_keep=2,
+@example(name="load_capacity", pcn=False, bias_form=None, scale=0.5, held=True, burn_in=1023, thin=1, n_keep=2,
          depth=16, seed=1)
-@example(name="contamination", pcn=False, bias_form="rbf", scale=1e3, active=True, burn_in=1024, thin=25, n_keep=40,
+@example(name="contamination", pcn=False, bias_form="rbf", scale=1e3, held=True, burn_in=1024, thin=25, n_keep=40,
          depth=16, seed=1)
 def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
-    name, pcn, bias_form, scale, active, burn_in, thin, n_keep, depth, seed
+    name, pcn, bias_form, scale, held, burn_in, thin, n_keep, depth, seed
 ):
     problem = PROBLEMS[name]()
-    d = problem.dim
-    pcn = pcn and problem.to_standard_normal is not None and scale <= 1.0
-    proposal = Pcn(scale) if pcn else RandomWalk(np.full(d, scale))
-    active = np.arange(0, d, 2) if active else None
+    proposal = _chain_proposal(problem, pcn, scale, held)
     cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
     weights = np.random.default_rng(seed).standard_normal(41)
     bias = {
@@ -581,11 +581,87 @@ def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcmc, "_SPECULATION_DEPTH", depth)
         for segment in range(2):  # a cold start, then a warm start from each chain's own state
-            a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), active=active, bias=bias)
-            b = _per_row_mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), active, bias)
+            a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), bias=bias)
+            b = _per_row_mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), bias)
             _assert_same_chain(a, b)
             assert 0 <= a.extra_rows <= (depth - 1) * cfg.total_steps
             a_init, b_init = a.state, b.state
+
+
+class _MaskedWalk:
+    """A random walk under mh_run's former `active` mask: its noise scale times a 0/1 coordinate mask."""
+
+    def __init__(self, walk, active):
+        self.walk, self.active = walk, active
+        self.latent, self.log_base = walk.latent, walk.log_base
+
+    def move(self, dim):
+        keep, scale = self.walk.move(dim)
+        mask = np.zeros(dim)
+        mask[self.active] = 1.0
+        return keep, scale * mask
+
+
+def _masked_tune_step_sizes(problem, rng, groups, init_steps, target_accept):
+    """tune_step_sizes at 200 pilot steps as it was while mh_run took a coordinate mask.
+
+    Each group batch moved a walk of every coordinate's floored step, masked to the group.
+    """
+    steps = np.clip(init_steps, _STEP_FLOOR, _STEP_CAP)
+    state, budget, n_group_batches = problem.init_point, 0, max(2, 200 // (100 * len(groups)))
+    for group in groups:
+
+        def group_walk(scale):
+            trial = steps.copy()
+            trial[group] = scale
+            return _MaskedWalk(RandomWalk(np.clip(trial, _STEP_FLOOR, None)), group)
+
+        scale = float(np.exp(np.mean(np.log(steps[group]))))
+        scale, state, cost, _ = mcmc._adapt(
+            problem, group_walk, scale, state, rng, target_accept, 50, n_group_batches, 2.0, (_STEP_FLOOR, _STEP_CAP)
+        )
+        budget += cost
+        steps[group] = scale
+
+    def joint_walk(mult):
+        return RandomWalk(np.clip(mult * steps, _STEP_FLOOR, None))
+
+    mult, _, cost, _ = mcmc._adapt(problem, joint_walk, 1.0, state, rng, target_accept, 50, 2, 2.0, (1e-4, 1e4))
+    return np.clip(mult * steps, _STEP_FLOOR, _STEP_CAP), budget + cost
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    labels=arrays(int, 11, elements=st.integers(0, 2)),  # coordinate i goes to group labels[i]
+    # 1e-9: floored to 1e-6
+    init_steps=arrays(float, 11, elements=st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 1e3]) | st.floats(1e-9, 1e3)),
+    target_accept=st.floats(0.05, 0.95),
+    seed=seeds,
+)
+@example(name="contamination", labels=np.zeros(11, dtype=int), init_steps=np.full(11, 1e-9), target_accept=0.3, seed=0)
+def test_zero_step_group_walk_equals_the_masked_walk_bit_for_bit(name, labels, init_steps, target_accept, seed):
+    problem = PROBLEMS[name]()
+    d = problem.dim
+    groups = [g for g in (np.flatnonzero(labels[:d] == k) for k in range(3)) if len(g)]
+    chains = []  # every tuning chain's kept samples, acceptance and final state
+
+    def recorded(*args, **kwargs):
+        res = mh_run(*args, **kwargs)
+        chains.append((res.thetas.tobytes(), res.acceptance_rate, res.state.x.tobytes(), _bits(res.state.log_base)))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcmc, "mh_run", recorded)
+        walk, budget, _ = tune_step_sizes(problem, problem.init_point, np.random.default_rng(seed), target_accept,
+                                          pilot_steps=200, groups=groups, init_steps=init_steps[:d])
+        zero_step_chains, chains = chains, []
+        steps, masked_budget = _masked_tune_step_sizes(
+            problem, np.random.default_rng(seed), groups, init_steps[:d], target_accept
+        )
+    assert walk.step_sizes.tobytes() == steps.tobytes() and budget == masked_budget
+    assert zero_step_chains == chains and len(chains) == 2 * len(groups) + 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -724,12 +800,12 @@ def test_grid_p_hat_is_invariant_under_a_constant_shift(values, c, threshold):
 def test_tuned_scales_stay_within_their_clip_bounds(target_accept, init_step, beta0, seed):
     problem = scalar_normal_problem()
     rng = np.random.default_rng(seed)
-    steps, _, _ = tune_step_sizes(
+    walk, _, _ = tune_step_sizes(
         problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, init_steps=np.array([init_step])
     )
-    assert np.all((_STEP_FLOOR <= steps) & (steps <= _STEP_CAP))
-    beta, _, _ = tune_pcn_beta(problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
-    assert 1e-4 <= beta <= 1.0
+    assert np.all((_STEP_FLOOR <= walk.step_sizes) & (walk.step_sizes <= _STEP_CAP))
+    pcn, _, _ = tune_pcn_beta(problem, np.zeros(1), rng, target_accept=target_accept, pilot_steps=200, beta0=beta0)
+    assert 1e-4 <= pcn.beta <= 1.0
 
 
 configs = st.fixed_dictionaries(

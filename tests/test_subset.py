@@ -4,6 +4,7 @@ from scipy import stats
 
 from conftest import counting_qoi, scalar_normal_problem
 from rareebm.errors import ConfigurationError
+from rareebm.mcmc import RandomWalk
 from rareebm.problems import RareEventQuery, TargetProblem, contamination_problem
 from rareebm.subset import (
     AdaptiveSchedule,
@@ -103,16 +104,16 @@ class TestTraditionalSetting:
 class TestPosteriorSetting:
     def test_posterior_init_requires_step_sizes(self, rng):
         cp = contamination_problem()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="tuned random walk"):
             subset_estimate(cp.problem, RareEventQuery(20.0), SubsetConfig(), rng)
 
     def test_posterior_run_and_budget(self):
         problem, rows = counting_qoi(contamination_problem().problem)
         cfg = SubsetConfig(n_samples=40, mh_steps_per_seed=5,
                            posterior_burn_in=50, posterior_thin=20)
-        steps = np.full(9, 0.1)
+        walk = RandomWalk(np.full(9, 0.1))
         res = subset_estimate(problem, RareEventQuery(12.0), cfg,
-                              np.random.default_rng(3), step_sizes=steps)
+                              np.random.default_rng(3), proposal=walk)
         init_cost = 1 + 50 + 20 * 40
         assert res.budget == init_cost + (len(res.levels) - 1) * 40 * 5
         # r of the initial population is evaluated once more, outside the
