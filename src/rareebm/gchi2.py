@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from rareebm.errors import NumericError
 
@@ -59,6 +58,8 @@ def imhof_tail(lam: np.ndarray, delta2: np.ndarray, x: float) -> float:
     and QAWF integrates each smooth amplitude against its Fourier weight.
     Raises `NumericError` when the error estimates exceed 1% of the tail.
     """
+    from scipy import integrate  # imported here, so a run without an oracle never loads it
+
     lam = np.asarray(lam, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
     if len(lam) == 0:

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -173,9 +172,10 @@ def load_config(source) -> dict:
             raise ConfigurationError(f"grid does not cover query threshold {t}")
     try:
         _replicate_setup(cfg)
-        # Every problem, method and bias form, so keys the run does not read hold valid values too.
-        for name in _SCHEMA["problem"]["name"]:
-            build_problem(dict(cfg["problem"], name=name))
+        # Every method and bias form, and every problem through its spec, so keys the run does not
+        # read hold valid values too. Building a problem the run does not use would import scipy.
+        ContaminationSpec(rng_seed=cfg["problem"]["seed"])
+        LoadCapacitySpec(n_components=cfg["problem"]["n_components"])
         _subset_config(mcfg)
         for form in _SCHEMA["method"]["form"]:
             _ebm_setup(dict(mcfg, form=form))
@@ -503,6 +503,8 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
     cfg = load_config(cfg)
     n_runs = cfg["runs"]["n_runs"]
     if jobs > 1 and n_runs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_replicate, [cfg] * n_runs, range(n_runs)))
     else:

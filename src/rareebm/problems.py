@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 from rareebm.errors import ConfigurationError
 from rareebm.gchi2 import gaussian_quadratic_tail
@@ -87,6 +85,8 @@ class ContaminationSpec:
             raise ConfigurationError("measured cells must be distinct indices in [0, n_cells)")
         if self.prior_sd <= 0 or self.noise_sd < 0:
             raise ConfigurationError("prior_sd must be positive and noise_sd nonnegative")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,8 @@ class LoadCapacityProblem:
 
     def oracle_failure_probability(self) -> float:
         """P(load >= capacity | data) by quadrature over the posterior capacity."""
+        from scipy import integrate  # imported here, so a run without an oracle never loads it
+
         loc, scale = self.spec.gumbel_params()
         m_s, v_s = self.capacity_log_posterior
         sd_s = math.sqrt(v_s)
@@ -272,6 +274,8 @@ class LoadCapacityProblem:
 
 
 def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCapacityProblem:
+    from scipy.special import ndtr, ndtri  # imported here, so the other problems never load scipy.special
+
     n = spec.n_components
     mu_c, sigma2_c = spec.lognormal_params()
     mu_i = mu_c / n

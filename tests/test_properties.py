@@ -15,7 +15,7 @@ from rareebm.bias import GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import FreeEnergyEstimate, free_energy_from_bias, tail_probability
 from rareebm.errors import ConfigurationError, NumericError
-from rareebm.harness import load_config, run_replicate
+from rareebm.harness import build_problem, load_config, run_replicate
 from rareebm.ksd import (
     KsdTestConfig,
     KsdTestResult,
@@ -844,6 +844,31 @@ def test_load_config_is_idempotent(cfg):
     assert load_config(once) == once
     # summary.json stores the loaded config as JSON; it must load back unchanged
     assert load_config(json.loads(json.dumps(once))) == once
+
+
+PROBLEM_NAMES = ("contamination", "four_branch", "load_capacity")
+
+
+# load_config checks the problems a config does not run through their specs
+# instead of building them; it must reject exactly what building them rejects.
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(PROBLEM_NAMES), seed=st.integers(-5, 5), n_components=st.integers(-2, 40))
+@example(name="load_capacity", seed=-1, n_components=10)
+@example(name="contamination", seed=0, n_components=0)
+@example(name="four_branch", seed=-5, n_components=-2)
+def test_load_config_rejects_a_problem_section_iff_building_a_problem_from_it_raises(name, seed, n_components):
+    section = {"name": name, "seed": seed, "n_components": n_components}
+    raised = False
+    for other in PROBLEM_NAMES:
+        try:
+            build_problem(dict(section, name=other))
+        except ValueError:  # any rejection, ConfigurationError or not
+            raised = True
+    if raised:
+        with pytest.raises(ConfigurationError):
+            load_config({"problem": section})
+    else:
+        assert load_config({"problem": section})["problem"] == section
 
 
 SHIPPED_CONFIGS = sorted(p.name for p in (resources.files("rareebm") / "configs").iterdir() if p.name.endswith(".json"))
