@@ -24,8 +24,15 @@ from rareebm.problems import TargetProblem
 
 _STEP_FLOOR = 1e-6
 _STEP_CAP = 1e3
-# Proposals scored per base-density call; no result depends on it.
+# The shape of one base-density call, picked from the row width d alone; no
+# result depends on it. Where a prefetch tree of _TREE_SHAPE = (states, steps)
+# holds at most _TREE_CELLS numbers, a call scores every row that the next
+# steps can reach through at most one acceptance. Wider rows, whose scoring
+# costs more than the call, score the next _SPECULATION_DEPTH proposals from
+# the current state alone.
 _SPECULATION_DEPTH = 6
+_TREE_SHAPE = (8, 8)
+_TREE_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -150,11 +157,17 @@ def mh_run(
     previous segment (warm start, no extra evaluation).
 
     The normals and uniforms of each 1024-step block are drawn up front, so
-    the next proposals are known as long as each of them is rejected: the
-    walk scores up to _SPECULATION_DEPTH of them from the current state with
-    one call of the proposal's `log_base`, takes them in order, and at the
-    first acceptance discards the rest (counted in `extra_rows`). The result
-    does not depend on the depth. A biased chain needs each proposal's r
+    the states that the next steps can reach are known in advance. One call
+    of the proposal's `log_base` scores a prefetch tree of S states by k
+    steps: row (s, t) is keep * state_s + step_t, where state_0 is the
+    current state and state_s (s >= 1) the one an acceptance at step s - 1
+    moves to. The walk reads the current state's rows in order; after the
+    first acceptance, at step s - 1, it reads row (s, t) from step s on. The
+    call ends at the second acceptance, at a first one whose state the tree
+    lacks, or after k steps, and its unread rows are discarded (counted in
+    `extra_rows`). Wide rows take S = 1 (module constants). Each row is the
+    proposal the chain would build from its actual state, so the result does
+    not depend on the shape. A biased chain needs each proposal's r
     before its decision, so it calls qoi on each row it takes. An unbiased
     chain decides on the base density alone: it calls qoi once per block,
     over the block's proposals, and reads r of the kept samples and the
@@ -179,6 +192,7 @@ def mh_run(
     keep, scale = proposal.move(d)
     # 1.0 * x == x exactly, so a move that keeps x (the random walk) skips the product.
     shift_only = bool(np.all(np.equal(keep, 1.0)))
+    states, depth = _TREE_SHAPE if _TREE_SHAPE[0] * _TREE_SHAPE[1] * d <= _TREE_CELLS else (1, _SPECULATION_DEPTH)
     log_base_at, qoi = proposal.log_base, problem.qoi
     isfinite = math.isfinite
 
@@ -202,20 +216,31 @@ def mh_run(
             start, r_in, r, first_kept = step_idx, r, step_idx - 1, n_kept
         i = 0  # steps of the block walked so far
         while i < m:
-            k = min(_SPECULATION_DEPTH, m - i)
-            # the next k proposals, each from the current state
-            xs = x + steps[i : i + k] if shift_only else keep * x + steps[i : i + k]
+            k = min(depth, m - i)
+            n_states = min(states, k)
+            step = steps[i : i + k]
+            if n_states == 1:  # the next k proposals from the current state
+                xs = x + step if shift_only else keep * x + step
+            else:
+                # row (s, t) = keep * state_s + step_t, where state_s (s >= 1) is row (0, s - 1)
+                xs = np.empty((n_states, k, d))
+                np.add(x if shift_only else keep * x, step, out=xs[0])
+                heads = xs[0, : n_states - 1, None]
+                np.add(heads if shift_only else keep * heads, step, out=xs[1:])
+                xs = xs.reshape(-1, d)
             bases, rows = log_base_at(problem, xs)
-            for j, (base_prop, log_u) in enumerate(zip(bases, log_unifs[i : i + k])):
+            row, moved = 0, k  # the row the next step reads; the step at which the walk moved to a new state's rows
+            for t, log_u in enumerate(log_unifs[i : i + k], 1):  # t: this call's steps, this one included
+                base_prop = bases[row]
                 if bias is None:
                     value_prop, r_prop = base_prop, step_idx
                 else:
-                    r_prop = qoi(rows[j : j + 1]).item()
+                    r_prop = qoi(rows[row : row + 1]).item()
                     value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
                 log_ratio = value_prop - log_value
                 accepted = log_ratio >= 0.0 or log_u < log_ratio
                 if accepted:
-                    x, theta, r, log_base, log_value = xs[j], rows[j], r_prop, base_prop, value_prop
+                    x, theta, r, log_base, log_value = xs[row], rows[row], r_prop, base_prop, value_prop
                     accepted_post += step_idx >= burn_in
                 if step_idx == next_kept:
                     kept_theta[n_kept] = theta
@@ -223,12 +248,18 @@ def mh_run(
                     n_kept += 1
                     next_kept += thin
                 step_idx += 1
-                if accepted:
+                if not accepted:
+                    row += 1
+                elif row < k and t < n_states:  # the first acceptance, to a state the tree holds
+                    moved, row = t, t * (k + 1)
+                else:
                     break
             if bias is None:
-                proposed[i : i + j + 1] = rows[: j + 1]
-            extra += k - j - 1
-            i += j + 1
+                first = min(t, moved)  # the steps walked on the current state's rows
+                proposed[i : i + first] = rows[:first]
+                proposed[i + first : i + t] = rows[first * (k + 1) : first * k + t]
+            extra += n_states * k - t
+            i += t
         if bias is None:
             rs = np.append(qoi(proposed), r_in)  # row -1 is the incoming r
             kept_r[first_kept:n_kept] = rs[kept_r[first_kept:n_kept].astype(np.intp) - start]

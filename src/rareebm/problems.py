@@ -9,10 +9,11 @@ quadrature oracle).
 All problem callables are vectorized: theta is a float array of shape (n, d)
 and the result has shape (n,), each row's value bit for bit the one a
 single-row call gives. They do not promote other shapes. A proposal's
-`log_base` scores the base density of up to a few next proposals in one
-call, where every array call counts. The MH kernel calls qoi on each row it
-takes, as a (1, d) view, when the chain is biased, and otherwise once per
-block over the rows it took.
+`log_base` scores in one call the base density of every next proposal that
+the chain can reach through at most one acceptance (up to 64 rows), or of
+the next few for wide rows, where every array call counts. The MH kernel
+calls qoi on each row it takes, as a (1, d) view, when the chain is biased,
+and otherwise once per block over the rows it took.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ _EULER_GAMMA = 0.5772156649015329
 # every positive capacity as it is and gives a finite stand-in elsewhere, so
 # no floating-point warning fires where np.where then puts -inf.
 _TINY = np.finfo(float).smallest_subnormal
+# One MH block of normals holds 1024 (n_components + 1) doubles, 8 GB at this
+# bound; a larger value is refused by the spec, before any array is allocated.
+_MAX_COMPONENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,8 @@ class LoadCapacitySpec:
     sigma_y: float = 0.05
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise ConfigurationError("n_components must be >= 1")
+        if not 1 <= self.n_components <= _MAX_COMPONENTS:
+            raise ConfigurationError(f"n_components must lie in [1, {_MAX_COMPONENTS}]")
         if min(self.load_sd, self.capacity_mean, self.capacity_sd, self.sigma_y) <= 0:
             raise ConfigurationError("scale parameters must be positive")
 

@@ -171,10 +171,11 @@ def _small(problem, kind, threshold):
         _with(_with(_small("four_branch", "ebm", 0.0), "method.form", "grid"), "method.rbf.kappa", -1),
         _with(_small("contamination", "ebm", 20.0), "problem.n_components", 0),
         _with(_small("load_capacity", "ebm", 0.0), "problem.seed", -1),
+        _with(_small("load_capacity", "ebm", 0.0), "problem.n_components", 10**12),
     ],
     ids=["contamination_pcn", "subset_pcn", "negative_problem_seed", "negative_base_seed", "posterior_thin_0",
          "reference_length", "unread_values", "ebm_subset_n_samples_1", "grid_rbf_kappa_negative",
-         "contamination_n_components_0", "load_capacity_negative_seed"],
+         "contamination_n_components_0", "load_capacity_negative_seed", "load_capacity_n_components_huge"],
 )
 def test_rejected_by_load_config(tmp_path, cfg):
     with pytest.raises(ConfigurationError):

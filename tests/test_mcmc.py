@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import counting_qoi, scalar_normal_problem
+from conftest import counting_base, counting_qoi, scalar_normal_problem
 from rareebm.bias import GridBias
 from rareebm.densities import GridFunction
 from rareebm.errors import ConfigurationError
@@ -13,7 +13,13 @@ from rareebm.mcmc import (
     tune_pcn_beta,
     tune_step_sizes,
 )
-from rareebm.problems import TargetProblem, contamination_problem, four_branch_problem
+from rareebm.problems import (
+    LoadCapacitySpec,
+    TargetProblem,
+    contamination_problem,
+    four_branch_problem,
+    load_capacity_problem,
+)
 
 
 class TestProposals:
@@ -124,6 +130,24 @@ class TestMhRun:
         with pytest.raises(ConfigurationError):
             mh_run(problem_no_transform, Pcn(0.5), np.zeros(1),
                    ChainConfig(burn_in=0, thin=1, n_keep=5), rng)
+
+    @pytest.mark.parametrize("pcn", [False, True])
+    def test_the_call_shape_depends_on_the_row_width_alone(self, pcn):
+        # (problem, the most rows one log_base call scores): a full 8 x 8 prefetch
+        # tree for 9 columns, whichever problem has them, and 6 rows for 101
+        cases = [
+            (load_capacity_problem(LoadCapacitySpec(n_components=8)).problem, 64),
+            (load_capacity_problem(LoadCapacitySpec(n_components=100)).problem, 6),
+        ]
+        if not pcn:  # contamination has no standard-normal transform
+            cases.append((contamination_problem().problem, 64))
+        for problem, most_rows in cases:
+            problem, base_rows = counting_base(problem)
+            proposal = Pcn(0.3) if pcn else RandomWalk(np.full(problem.dim, 0.05))
+            res = mh_run(problem, proposal, problem.init_point, ChainConfig(burn_in=0, thin=1, n_keep=300),
+                         np.random.default_rng(3))
+            assert base_rows[0] == 1 and max(base_rows[1:]) == most_rows  # after the cold start's one row
+            assert sum(base_rows) == res.budget + res.extra_rows
 
 
 class TestTuning:

@@ -26,7 +26,6 @@ from rareebm.ksd import (
 )
 from rareebm import mcmc
 from rareebm.mcmc import (
-    _SPECULATION_DEPTH,
     _STEP_CAP,
     _STEP_FLOOR,
     ChainConfig,
@@ -412,7 +411,7 @@ def _one_row_log_base(problem, proposal, x):
     pcn=st.booleans(),
     spread=st.floats(0.01, 10.0),
     flip=st.integers(-1, 10),
-    n=st.integers(1, 16),
+    n=st.integers(1, 64),  # up to a full prefetch tree
     seed=seeds,
 )
 # a non-positive capacity lies outside the prior: the log target is -inf
@@ -555,18 +554,25 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, bias=None):
     burn_in=st.sampled_from([0, 1, 1000, 1023, 1024, 1025]),
     thin=st.sampled_from([1, 2, 25]),
     n_keep=st.integers(1, 40),
-    depth=st.sampled_from([1, 2, 7, 16]),
+    # (states, steps) of a base-density call: one state, prefetch trees, and steps past the block end
+    shape=st.sampled_from([(1, 1), (1, 2), (1, 7), (1, 16), (2, 2), (3, 7), (8, 8), (16, 16), (1, 1100), (2, 1100)]),
     seed=seeds,
 )
 # load_capacity's walk proposes non-positive capacities, where the log target is -inf
 @example(name="load_capacity", pcn=False, bias_form="grid", scale=0.5, held=False, burn_in=1000, thin=2, n_keep=40,
-         depth=7, seed=0)
+         shape=(1, 7), seed=0)
 @example(name="load_capacity", pcn=False, bias_form=None, scale=0.5, held=True, burn_in=1023, thin=1, n_keep=2,
-         depth=16, seed=1)
+         shape=(1, 16), seed=1)
 @example(name="contamination", pcn=False, bias_form="rbf", scale=1e3, held=True, burn_in=1024, thin=25, n_keep=40,
-         depth=16, seed=1)
+         shape=(1, 16), seed=1)
+@example(name="load_capacity", pcn=True, bias_form=None, scale=0.5, held=False, burn_in=1000, thin=2, n_keep=40,
+         shape=(3, 7), seed=0)
+@example(name="contamination", pcn=False, bias_form="grid", scale=0.5, held=False, burn_in=1025, thin=1, n_keep=40,
+         shape=(8, 8), seed=2)
+@example(name="four_branch", pcn=True, bias_form=None, scale=0.1, held=False, burn_in=1000, thin=25, n_keep=40,
+         shape=(2, 1100), seed=3)
 def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
-    name, pcn, bias_form, scale, held, burn_in, thin, n_keep, depth, seed
+    name, pcn, bias_form, scale, held, burn_in, thin, n_keep, shape, seed
 ):
     problem = PROBLEMS[name]()
     proposal = _chain_proposal(problem, pcn, scale, held)
@@ -578,13 +584,19 @@ def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
         "rbf": RbfBias(weights, np.linspace(-60.0, 60.0, 41), 0.3),
     }[bias_form]
     a_init = b_init = problem.init_point
+    states, steps = shape
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mcmc, "_SPECULATION_DEPTH", depth)
+        if states == 1:  # rows too wide for any tree
+            mp.setattr(mcmc, "_TREE_CELLS", 0)
+            mp.setattr(mcmc, "_SPECULATION_DEPTH", steps)
+        else:
+            mp.setattr(mcmc, "_TREE_SHAPE", shape)
+            mp.setattr(mcmc, "_TREE_CELLS", math.inf)
         for segment in range(2):  # a cold start, then a warm start from each chain's own state
             a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), bias=bias)
             b = _per_row_mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), bias)
             _assert_same_chain(a, b)
-            assert 0 <= a.extra_rows <= (depth - 1) * cfg.total_steps
+            assert 0 <= a.extra_rows <= (states * steps - 1) * cfg.total_steps
             a_init, b_init = a.state, b.state
 
 
@@ -686,7 +698,7 @@ def test_base_density_rows_are_the_budget_plus_the_extra_rows(burn_in, thin, n_k
     warm = mh_run(problem, proposal, cold.state, cfg, rng, bias=bias)
     assert sum(qoi_rows) == cold.budget + warm.budget
     assert sum(base_rows) == cold.budget + cold.extra_rows + warm.budget + warm.extra_rows
-    assert max(base_rows) <= _SPECULATION_DEPTH
+    assert max(base_rows) <= math.prod(mcmc._TREE_SHAPE)  # a one-column chain scores the full tree
     qoi_rows.clear()
     base_rows.clear()
     tune = tune_pcn_beta if pcn else tune_step_sizes
