@@ -19,14 +19,6 @@ from pathlib import Path
 from rareebm.errors import ConfigurationError, EstimationError, NumericError, TrainingError
 from rareebm.harness import TABLE_ROWS, _round_floats, load_config, replicate_table, run_experiment
 
-# Crude Monte Carlo truths for the four-branch tails, 1e8 samples (RNG seed
-# 123456); values given with their Monte Carlo standard errors.
-FOUR_BRANCH_MC = {
-    0.0: (4.46076e-3, 6.66e-6),
-    2.0: (9.92e-6, 3.15e-7),
-}
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -51,12 +43,14 @@ def _cmd_oracle(args) -> int:
     if args.problem == "contamination":
         from rareebm.problems import ContaminationSpec, contamination_problem
 
-        cp = contamination_problem(ContaminationSpec(rng_seed=args.seed if args.seed is not None else 2024))
+        cp = contamination_problem(ContaminationSpec() if args.seed is None else ContaminationSpec(rng_seed=args.seed))
         for t in (20.0,):
             print(f"P(R >= {t:g} | y) = {cp.oracle_tail(t):.6e}")
     elif args.problem == "four_branch":
-        for t, (p, se) in FOUR_BRANCH_MC.items():
-            print(f"P(-R >= {t:g}) = {p:.6e} (MC standard error {se:.2e})")
+        from rareebm.problems import four_branch_tail
+
+        for t in (0.0, 2.0):
+            print(f"P(-R >= {t:g}) = {four_branch_tail(t):.6e}")
     elif args.problem == "load_capacity":
         from rareebm.problems import LoadCapacitySpec, load_capacity_problem
 
@@ -113,7 +107,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, TrainingError, EstimationError, ArithmeticError) as exc:

@@ -35,6 +35,7 @@ from rareebm.problems import (
     TargetProblem,
     contamination_problem,
     four_branch_problem,
+    four_branch_tail,
     load_capacity_problem,
 )
 from rareebm.subset import AdaptiveSchedule, FixedLogSchedule, SubsetConfig, subset_estimate
@@ -53,8 +54,8 @@ from rareebm.train import (
 _SCHEMA: dict[str, dict[str, Any]] = {
     "problem": {
         "name": ("contamination", "four_branch", "load_capacity"),
-        "seed": 2024,  # data-realization seed (contamination)
-        "n_components": 10,  # capacity components (load_capacity)
+        "seed": ContaminationSpec.rng_seed,  # data-realization seed (contamination)
+        "n_components": LoadCapacitySpec.n_components,  # capacity components (load_capacity)
     },
     "query": {
         "thresholds": [20.0],
@@ -151,10 +152,17 @@ def load_config(source) -> dict:
     here as well (`_replicate_setup`), so out-of-range settings fail at load.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            user = json.load(fh)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config {source}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigurationError(f"config {source} is not UTF-8 JSON: {exc}") from exc
     else:
         user = dict(source)
+    if not isinstance(user, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(user).__name__}")
     cfg = _merge(_SCHEMA, user, "")
     runs, thresholds = cfg["runs"], cfg["query"]["thresholds"]
     if runs["n_runs"] < 1:
@@ -213,7 +221,7 @@ def build_problem(pcfg: dict) -> ProblemBundle:
             rw_init_steps=np.full(spec.n_cells, spec.prior_sd),
         )
     if name == "four_branch":
-        return ProblemBundle(problem=four_branch_problem(), oracle=None, rw_init_steps=np.ones(2))
+        return ProblemBundle(problem=four_branch_problem(), oracle=four_branch_tail, rw_init_steps=np.ones(2))
     if name == "load_capacity":
         lp = load_capacity_problem(LoadCapacitySpec(n_components=pcfg["n_components"]))
         # Failure is defined at threshold 0; there is no truth for other values.

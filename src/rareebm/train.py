@@ -26,6 +26,10 @@ from rareebm.mcmc import ChainConfig, mh_run
 from rareebm.problems import RareEventQuery, TargetProblem
 
 _ABORT_BIAS_MAGNITUDE = 1e6
+# A KSD stop needs at least this share of distinct kept samples: the wild
+# bootstrap assumes a mixing chain, and one that sticks at a value next to a
+# bounded reference support can pass it (the score grows without bound there).
+_MIN_DISTINCT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,9 @@ def train_bias_potential(
             trace.append(record)
 
             if inside and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
-                if not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject:
+                passed = not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject
+                # checked after the test has drawn its signs, so no random stream depends on it
+                if passed and len(np.unique(s_samples)) >= _MIN_DISTINCT_SHARE * len(s_samples):
                     stop_reason = "ksd"
                     break
     except ArithmeticError as exc:  # hand the budget spent so far to the caller

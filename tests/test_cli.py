@@ -23,7 +23,7 @@ def _tiny_config():
 def test_oracle_commands(capsys):
     assert main(["oracle", "four_branch"]) == 0
     out = capsys.readouterr().out
-    assert "4.46" in out
+    assert "4.457331e-03" in out and "1.046280e-05" in out  # the exact tails at thresholds 0 and 2
     assert main(["oracle", "load_capacity"]) == 0
     out = capsys.readouterr().out
     assert "n_components=10" in out and "n_components=100" in out
@@ -37,6 +37,21 @@ def test_run_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[]", b'"x"', b"5", b"null", b"\xff\xfe{}", None],
+    ids=["list", "string", "number", "null", "not-utf8", "directory"],
+)
+def test_run_unreadable_config(tmp_path, capsys, content):
+    path = tmp_path / "f.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_run_unknown_key(tmp_path):

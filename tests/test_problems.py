@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from rareebm.errors import ConfigurationError
@@ -13,6 +14,7 @@ from rareebm.problems import (
     contamination_problem,
     four_branch,
     four_branch_problem,
+    four_branch_tail,
     load_capacity_problem,
 )
 
@@ -89,11 +91,15 @@ class TestContamination:
         p = contamination_problem().oracle_tail(20.0)
         assert p == pytest.approx(1.02594681477943e-6, rel=1e-8, abs=0.0)
 
-    def test_invalid_measured_cells(self):
+    def test_spec_takes_only_the_data_seed(self):
+        # the paper's field, prior and measurements are class constants
+        with pytest.raises(TypeError):
+            ContaminationSpec(prior_sd=0.5)
+        with pytest.raises(TypeError):
+            ContaminationSpec(measured_cells=(0, 1))
+        assert ContaminationSpec(rng_seed=7).measured_cells == (0, 1, 4)
         with pytest.raises(ConfigurationError):
-            ContaminationSpec(measured_cells=(0, 0, 1))
-        with pytest.raises(ConfigurationError):
-            ContaminationSpec(measured_cells=(0, 99))
+            ContaminationSpec(rng_seed=-1)
 
 
 class TestFourBranch:
@@ -110,6 +116,20 @@ class TestFourBranch:
         theta = rng.standard_normal((10, 2))
         np.testing.assert_allclose(p.qoi(theta), -four_branch(theta))
         np.testing.assert_allclose(p.from_standard_normal(theta), theta)
+
+    @given(t1=st.floats(-50.0, 50.0), t2=st.floats(-50.0, 50.0))
+    def test_rotated_branches_equal_four_branch(self, t1, t2):
+        # the oracle's coordinates: u and v are independent standard normals under the prior
+        u, v = (t1 - t2) / math.sqrt(2.0), (t1 + t2) / math.sqrt(2.0)
+        sq, root2 = 0.2 * u * u, math.sqrt(2.0)
+        rotated = min(3.0 + sq - v, 3.0 + sq + v, root2 * (3.0 + u), root2 * (3.0 - u))
+        scale = 10.0 + t1 * t1 + t2 * t2
+        assert rotated == pytest.approx(four_branch(np.array([[t1, t2]]))[0], rel=0.0, abs=1e-13 * scale)
+
+    @pytest.mark.parametrize("threshold, tail", [(0.0, 4.457331e-3), (2.0, 1.046280e-5)])
+    def test_oracle_matches_a_tight_quadrature(self, threshold, tail):
+        # the rotated integral by scipy quad at relative tolerance 1e-12
+        assert four_branch_tail(threshold) == pytest.approx(tail, rel=1e-6)
 
 
 class TestLoadCapacity:
@@ -183,5 +203,5 @@ class TestLoadCapacity:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             LoadCapacitySpec(n_components=0)
-        with pytest.raises(ConfigurationError):
-            LoadCapacitySpec(sigma_y=0.0)
+        with pytest.raises(TypeError):  # the paper's load and capacities are class constants
+            LoadCapacitySpec(sigma_y=0.1)

@@ -1,8 +1,9 @@
 """scipy is imported where an oracle or the load_capacity problem needs it, and nowhere else.
 
 Loading a config and building its problem imports no part of scipy for the
-contamination configs, and scipy.special but not scipy.integrate for
-load_capacity (its standard-normal transforms call ndtr and ndtri). The
+contamination and four_branch configs, and scipy.special but not
+scipy.integrate for load_capacity (its standard-normal transforms call ndtr
+and ndtri). The
 oracles import scipy.integrate when they are called. pytest has already
 imported scipy, so each check runs in a fresh child process.
 """
@@ -39,6 +40,7 @@ print(json.dumps({"loaded": loaded, "oracle": oracle}))
     [
         ("contamination_ebm_nonpar", []),
         ("contamination_subset", []),
+        ("four_branch_ebm", []),
         ("load_capacity_100_rbf", ["scipy.special"]),
     ],
 )

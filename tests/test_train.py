@@ -260,6 +260,27 @@ class TestTraining:
         np.testing.assert_array_equal(on.bias.params, off.bias.params)
         assert [(r.budget, r.acceptance) for r in on.trace] == [(r.budget, r.acceptance) for r in off.trace]
 
+    def test_a_sticky_chain_next_to_a_bounded_support_does_not_stop(self, monkeypatch):
+        # The chain holds one value just inside the GEV edge for its first steps, and
+        # that block dominates the Stein matrix: the wild bootstrap passes a segment
+        # with 14 distinct samples of 50, which must not stop training.
+        problem, _, grid, bias = self._setup()
+        verdicts = []
+
+        def recording_test(samples, *args):
+            res = wild_bootstrap_test(samples, *args)
+            verdicts.append((res.reject, len(np.unique(samples)) / len(samples)))
+            return res
+
+        wild_bootstrap_test = train.wild_bootstrap_test
+        monkeypatch.setattr(train, "wild_bootstrap_test", recording_test)
+        from rareebm.problems import RareEventQuery
+        res = train_bias_potential(problem, RareEventQuery(1.0), Gev(0.0, 0.5, 0.5), bias,
+                                   self._cfg(max_steps=30, stopping=KsdStopping(min_steps=1), diagnostics=False),
+                                   RandomWalk(np.array([2.4])), grid, np.random.default_rng(3))
+        assert any(not reject and share < train._MIN_DISTINCT_SHARE for reject, share in verdicts)
+        assert res.stop_reason != "ksd"
+
     def test_divergence_raises_with_partial_result(self, rng):
         problem, p_ref, grid, bias = self._setup()
         from rareebm.problems import RareEventQuery
