@@ -16,11 +16,11 @@ import numpy as np
 from rareebm.densities import GridFunction
 
 # |kappa * (r - b_j)| at or beyond which exp(-(kappa * (r - b_j))^2) is exactly
-# 0.0: the exponent is <= -812.25, below the -745.2 where float64 exp
+# 0.0: the exponent is <= -745.29, below the -745.13 where float64 exp
 # underflows. Such terms are set to 0.0 rather than evaluated, because numpy's
 # exp takes a slow path, over ten times the cost of a normal result, on every
 # underflow.
-_RBF_CUTOFF = 28.5
+_RBF_CUTOFF = 27.3
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,6 @@ def wild_bootstrap_test(
     w = np.logical_xor.accumulate(flips, axis=1).astype(float)
     w *= -2.0
     w += 1.0
-    s_boot = np.einsum("bi,ij,bj->b", w, kmat, w, optimize=True) / n**2
+    s_boot = np.vecdot((kmat.T @ w.T).T, w) / n**2  # the contraction that einsum's optimizer plans
     p_value = (1.0 + int(np.sum(s_boot >= s_obs))) / (test_cfg.n_boot + 1.0)
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)

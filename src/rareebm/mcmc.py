@@ -24,15 +24,14 @@ from rareebm.problems import TargetProblem
 
 _STEP_FLOOR = 1e-6
 _STEP_CAP = 1e3
-# The shape of one base-density call, picked from the row width d alone; no
-# result depends on it. Where a prefetch tree of _TREE_SHAPE = (states, steps)
-# holds at most _TREE_CELLS numbers, a call scores every row that the next
-# steps can reach through at most one acceptance. Wider rows, whose scoring
-# costs more than the call, score the next _SPECULATION_DEPTH proposals from
-# the current state alone.
-_SPECULATION_DEPTH = 6
+# The shape of one base-density call, a prefetch tree of (states, steps),
+# picked from the row width d alone; no result depends on it. Narrow rows take
+# the full _TREE_SHAPE. Wider rows, whose scoring costs more next to the call,
+# take S = isqrt(_TREE_CELLS // d) states and as many steps as keep the tree
+# within _TREE_CELLS numbers: 8 x 8 up to d = 20, 3 x 4 at d = 101, one state
+# beyond d = 320 and one row beyond d = _TREE_CELLS.
 _TREE_SHAPE = (8, 8)
-_TREE_CELLS = 1024
+_TREE_CELLS = 1280
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,15 @@ def mh_run(
     first acceptance, at step s - 1, it reads row (s, t) from step s on. The
     call ends at the second acceptance, at a first one whose state the tree
     lacks, or after k steps, and its unread rows are discarded (counted in
-    `extra_rows`). Wide rows take S = 1 (module constants). Each row is the
-    proposal the chain would build from its actual state, so the result does
-    not depend on the shape. A biased chain needs each proposal's r
-    before its decision, so it calls qoi on each row it takes. An unbiased
-    chain decides on the base density alone: it calls qoi once per block,
-    over the block's proposals, and reads r of the kept samples and the
-    final state from it. Either way qoi sees one row per unit of budget, the
-    start point's included.
+    `extra_rows`). The shape follows the row width (module constants); up to
+    320 columns, S = 1 only at a block's last step. Each row is the proposal
+    the chain would build from its actual state, so the result does not
+    depend on the shape. A biased chain needs each proposal's r before its
+    decision, so it calls qoi on each row it takes. An unbiased chain decides
+    on the base density alone: it calls qoi once per block, over the block's
+    proposals, and reads r of the kept samples and the final state from it.
+    Either way qoi sees one row per unit of budget, the start point's
+    included.
     """
     budget = extra = 0
     if isinstance(init, ChainState):
@@ -192,7 +192,9 @@ def mh_run(
     keep, scale = proposal.move(d)
     # 1.0 * x == x exactly, so a move that keeps x (the random walk) skips the product.
     shift_only = bool(np.all(np.equal(keep, 1.0)))
-    states, depth = _TREE_SHAPE if _TREE_SHAPE[0] * _TREE_SHAPE[1] * d <= _TREE_CELLS else (1, _SPECULATION_DEPTH)
+    most_states, most_steps = _TREE_SHAPE
+    states = max(1, min(most_states, math.isqrt(_TREE_CELLS // d)))
+    depth = max(1, min(most_steps, _TREE_CELLS // (states * d)))
     log_base_at, qoi = proposal.log_base, problem.qoi
     isfinite = math.isfinite
 
@@ -219,15 +221,12 @@ def mh_run(
             k = min(depth, m - i)
             n_states = min(states, k)
             step = steps[i : i + k]
-            if n_states == 1:  # the next k proposals from the current state
-                xs = x + step if shift_only else keep * x + step
-            else:
-                # row (s, t) = keep * state_s + step_t, where state_s (s >= 1) is row (0, s - 1)
-                xs = np.empty((n_states, k, d))
-                np.add(x if shift_only else keep * x, step, out=xs[0])
-                heads = xs[0, : n_states - 1, None]
-                np.add(heads if shift_only else keep * heads, step, out=xs[1:])
-                xs = xs.reshape(-1, d)
+            # row (s, t) = keep * state_s + step_t, where state_s (s >= 1) is row (0, s - 1)
+            xs = np.empty((n_states, k, d))
+            np.add(x if shift_only else keep * x, step, out=xs[0])
+            heads = xs[0, : n_states - 1, None]
+            np.add(heads if shift_only else keep * heads, step, out=xs[1:])
+            xs = xs.reshape(-1, d)
             bases, rows = log_base_at(problem, xs)
             row, moved = 0, k  # the row the next step reads; the step at which the walk moved to a new state's rows
             for t, log_u in enumerate(log_unifs[i : i + k], 1):  # t: this call's steps, this one included

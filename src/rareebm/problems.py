@@ -10,10 +10,10 @@ All problem callables are vectorized: theta is a float array of shape (n, d)
 and the result has shape (n,), each row's value bit for bit the one a
 single-row call gives. They do not promote other shapes. A proposal's
 `log_base` scores in one call the base density of every next proposal that
-the chain can reach through at most one acceptance (up to 64 rows), or of
-the next few for wide rows, where every array call counts. The MH kernel
-calls qoi on each row it takes, as a (1, d) view, when the chain is biased,
-and otherwise once per block over the rows it took.
+the chain can reach through at most one acceptance within a prefetch tree
+(up to 64 rows, 12 for 101 columns), since every array call counts. The MH
+kernel calls qoi on each row it takes, as a (1, d) view, when the chain is
+biased, and otherwise once per block over the rows it took.
 """
 
 from __future__ import annotations

@@ -134,10 +134,11 @@ class TestMhRun:
     @pytest.mark.parametrize("pcn", [False, True])
     def test_the_call_shape_depends_on_the_row_width_alone(self, pcn):
         # (problem, the most rows one log_base call scores): a full 8 x 8 prefetch
-        # tree for 9 columns, whichever problem has them, and 6 rows for 101
+        # tree for 9 columns, whichever problem has them, a 3 x 4 tree for 101,
+        # one state by 3 steps for 401, and one row for 1301, wider than _TREE_CELLS
         cases = [
-            (load_capacity_problem(LoadCapacitySpec(n_components=8)).problem, 64),
-            (load_capacity_problem(LoadCapacitySpec(n_components=100)).problem, 6),
+            (load_capacity_problem(LoadCapacitySpec(n_components=n)).problem, most_rows)
+            for n, most_rows in [(8, 64), (100, 12), (400, 3), (1300, 1)]
         ]
         if not pcn:  # contamination has no standard-normal transform
             cases.append((contamination_problem().problem, 64))

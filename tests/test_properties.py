@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import counting_base, counting_qoi, scalar_normal_problem
-from rareebm.bias import GridBias, RbfBias
+from rareebm.bias import _RBF_CUTOFF, GridBias, RbfBias
 from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import FreeEnergyEstimate, free_energy_from_bias, tail_probability
 from rareebm.errors import ConfigurationError, NumericError
@@ -140,7 +141,7 @@ def test_rbf_bias_is_the_full_exponential_bit_for_bit(n_centers, span, kappa, se
     weights = np.random.default_rng(seed).standard_normal(n_centers)
     bias = RbfBias(weights, centers, kappa)
     spacing = span / max(n_centers - 1, 1)
-    reach = 28.5 / kappa  # where |kappa * (r - b_j)| reaches the cutoff
+    reach = _RBF_CUTOFF / kappa  # where |kappa * (r - b_j)| reaches the cutoff
     b, first, last = centers[j % n_centers], centers[0], centers[-1]
     points = [
         b,  # exactly on a center
@@ -386,6 +387,8 @@ PROBLEMS = {
     "four_branch": four_branch_problem,
     "load_capacity": lambda: load_capacity_problem(LoadCapacitySpec()).problem,
 }
+# load_capacity_100's 101 columns, the widest rows of a shipped config
+WIDE_PROBLEMS = {"load_capacity_100": lambda: load_capacity_problem(LoadCapacitySpec(n_components=100)).problem}
 
 
 def _one_row_log_base(problem, proposal, x):
@@ -555,7 +558,8 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, bias=None):
     thin=st.sampled_from([1, 2, 25]),
     n_keep=st.integers(1, 40),
     # (states, steps) of a base-density call: one state, prefetch trees, and steps past the block end
-    shape=st.sampled_from([(1, 1), (1, 2), (1, 7), (1, 16), (2, 2), (3, 7), (8, 8), (16, 16), (1, 1100), (2, 1100)]),
+    shape=st.sampled_from([(1, 1), (1, 2), (1, 7), (1, 16), (2, 2), (3, 4), (3, 7), (8, 8), (16, 16), (1, 1100),
+                           (2, 1100)]),
     seed=seeds,
 )
 # load_capacity's walk proposes non-positive capacities, where the log target is -inf
@@ -571,10 +575,13 @@ def _per_row_mh_run(problem, proposal, init, cfg, rng, bias=None):
          shape=(8, 8), seed=2)
 @example(name="four_branch", pcn=True, bias_form=None, scale=0.1, held=False, burn_in=1000, thin=25, n_keep=40,
          shape=(2, 1100), seed=3)
+# load_capacity_100_rbf's chain: pCN over 101 columns, biased, at the 3 x 4 tree mh_run picks for that width
+@example(name="load_capacity_100", pcn=True, bias_form="rbf", scale=0.15, held=False, burn_in=1000, thin=25,
+         n_keep=40, shape=(3, 4), seed=4)
 def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
     name, pcn, bias_form, scale, held, burn_in, thin, n_keep, shape, seed
 ):
-    problem = PROBLEMS[name]()
+    problem = (PROBLEMS | WIDE_PROBLEMS)[name]()
     proposal = _chain_proposal(problem, pcn, scale, held)
     cfg = ChainConfig(burn_in=burn_in, thin=thin, n_keep=n_keep)
     weights = np.random.default_rng(seed).standard_normal(41)
@@ -586,12 +593,8 @@ def test_speculative_chain_equals_the_per_row_chain_bit_for_bit(
     a_init = b_init = problem.init_point
     states, steps = shape
     with pytest.MonkeyPatch.context() as mp:
-        if states == 1:  # rows too wide for any tree
-            mp.setattr(mcmc, "_TREE_CELLS", 0)
-            mp.setattr(mcmc, "_SPECULATION_DEPTH", steps)
-        else:
-            mp.setattr(mcmc, "_TREE_SHAPE", shape)
-            mp.setattr(mcmc, "_TREE_CELLS", math.inf)
+        mp.setattr(mcmc, "_TREE_SHAPE", shape)
+        mp.setattr(mcmc, "_TREE_CELLS", sys.maxsize)  # no row width narrows the tree
         for segment in range(2):  # a cold start, then a warm start from each chain's own state
             a = mh_run(problem, proposal, a_init, cfg, np.random.default_rng(seed + segment), bias=bias)
             b = _per_row_mh_run(problem, proposal, b_init, cfg, np.random.default_rng(seed + segment), bias)
