@@ -508,6 +508,8 @@ def _oracle_or_none(oracle, threshold: float) -> Optional[float]:
 
 def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
     """Run all replicates of a validated config and write the output files."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     cfg = load_config(cfg)
     n_runs = cfg["runs"]["n_runs"]
     if jobs > 1 and n_runs > 1:

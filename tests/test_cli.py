@@ -70,6 +70,18 @@ def test_run_subset_experiment(tmp_path, capsys):
     assert (tmp_path / "out" / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "replicate"])
+def test_non_positive_jobs_is_rejected(tmp_path, capsys, jobs, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    target = str(path) if command == "run" else "table2"
+    assert main(["--jobs", jobs, "--out-dir", str(out), command, target]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_traces_rejects_subset(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_tiny_config()))
