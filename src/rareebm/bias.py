@@ -95,12 +95,11 @@ class RbfBias:
             return feats @ self.weights
         nodes, feats = self._grid_features
         if r is not nodes:
+            feats = self.features(r)
             # Only a read-only array is cached: its contents cannot change
             # behind the identity check. Scalars and fresh samples are not.
-            if not (isinstance(r, np.ndarray) and not r.flags.writeable):
-                return self.features(r) @ self.weights
-            feats = self.features(r)
-            self._grid_features[:] = [r, feats]
+            if isinstance(r, np.ndarray) and not r.flags.writeable:
+                self._grid_features[:] = [r, feats]
         return feats @ self.weights
 
     @property

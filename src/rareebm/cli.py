@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from rareebm.errors import ConfigurationError, EstimationError, NumericError, TrainingError
-from rareebm.harness import TABLE_ROWS, _round_floats, load_config, replicate_table, run_experiment
+from rareebm.harness import _SCHEMA, TABLE_ROWS, _round_floats, build_problem, load_config, replicate_table
+from rareebm.harness import run_experiment
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
@@ -39,26 +40,19 @@ def _cmd_replicate(args) -> int:
     return 0
 
 
+# (problem keys, threshold, label) of each line that `rareebm oracle <problem>` prints
+_ORACLE_LINES = {
+    "contamination": [({}, 20.0, "P(R >= 20 | y)")],
+    "four_branch": [({}, 0.0, "P(-R >= 0)"), ({}, 2.0, "P(-R >= 2)")],
+    "load_capacity": [({"n_components": n}, 0.0, f"n_components={n}: P(load >= capacity | y)") for n in (10, 100)],
+}
+
+
 def _cmd_oracle(args) -> int:
-    if args.problem == "contamination":
-        from rareebm.problems import ContaminationSpec, contamination_problem
-
-        cp = contamination_problem(ContaminationSpec() if args.seed is None else ContaminationSpec(rng_seed=args.seed))
-        for t in (20.0,):
-            print(f"P(R >= {t:g} | y) = {cp.oracle_tail(t):.6e}")
-    elif args.problem == "four_branch":
-        from rareebm.problems import four_branch_tail
-
-        for t in (0.0, 2.0):
-            print(f"P(-R >= {t:g}) = {four_branch_tail(t):.6e}")
-    elif args.problem == "load_capacity":
-        from rareebm.problems import LoadCapacitySpec, load_capacity_problem
-
-        for n_c in (10, 100):
-            lp = load_capacity_problem(LoadCapacitySpec(n_components=n_c))
-            print(f"n_components={n_c}: P(load >= capacity | y) = {lp.oracle_failure_probability():.6e}")
-    else:
-        raise ConfigurationError(f"unknown problem '{args.problem}'")
+    seed = {} if args.seed is None else {"seed": args.seed}  # contamination's data seed
+    for keys, t, label in _ORACLE_LINES[args.problem]:
+        bundle = build_problem(dict(_SCHEMA["problem"], name=args.problem, **keys, **seed))
+        print(f"{label} = {bundle.oracle(t):.6e}")
     return 0
 
 
@@ -78,7 +72,9 @@ def _cmd_traces(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rareebm", description="Rare-event probability estimation experiments")
-    parser.add_argument("--seed", type=int, default=None, help="override the base RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the base RNG seed; for `oracle contamination`, the data seed"
+    )
     parser.add_argument("--out-dir", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="replicate parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_replicate)
 
     p_orc = sub.add_parser("oracle", help="print reference truths for a problem")
-    p_orc.add_argument("problem", choices=["contamination", "four_branch", "load_capacity"])
+    p_orc.add_argument("problem", choices=sorted(_ORACLE_LINES))
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_tr = sub.add_parser("traces", help="dump one replicate's per-iteration trace")

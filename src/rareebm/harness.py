@@ -27,7 +27,7 @@ from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import ConfigurationError, NumericError
 from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
 from rareebm.ksd import KsdTestConfig
-from rareebm.mcmc import ChainConfig, Pcn, Proposal, tune_pcn_beta, tune_step_sizes
+from rareebm.mcmc import ChainConfig, Pcn, check_tuning, tune_pcn_beta, tune_step_sizes
 from rareebm.problems import (
     ContaminationSpec,
     LoadCapacitySpec,
@@ -149,7 +149,7 @@ def load_config(source) -> dict:
     """Validate a config mapping or JSON file against the schema with defaults.
 
     Everything a replicate builds before it draws a random number is built
-    here as well (`_replicate_setup`), so out-of-range settings fail at load.
+    here as well, so out-of-range settings fail at load.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -179,7 +179,7 @@ def load_config(source) -> dict:
         if mcfg["kind"] == "ebm" and not (g["lo"] <= t <= g["hi"]):
             raise ConfigurationError(f"grid does not cover query threshold {t}")
     try:
-        _replicate_setup(cfg)
+        _proposal_choice(mcfg["proposal"], build_problem(cfg["problem"]), mcfg["kind"] == "subset")
         # Every method and bias form, and every problem through its spec, so keys the run does not
         # read hold valid values too. Building a problem the run does not use would import scipy.
         ContaminationSpec(rng_seed=cfg["problem"]["seed"])
@@ -202,7 +202,7 @@ def _as_list(v) -> list:
 @dataclass
 class ProblemBundle:
     problem: TargetProblem
-    oracle: Optional[Any]  # callable threshold -> truth (None where it does not apply)
+    oracle: Callable[[float], Optional[float]]  # threshold -> truth, None where it does not apply
     rw_groups: Optional[list] = None
     rw_init_steps: Optional[np.ndarray] = None
 
@@ -306,39 +306,15 @@ class RunOutcome:
     extra_rows: int = 0  # base-density rows scored beyond the budget and the tuning budget
 
 
-@dataclass(frozen=True)
-class ReplicateSetup:
-    """What a replicate builds from its config before it draws a random number."""
-
-    bundle: ProblemBundle
-    queries: list[RareEventQuery]
-    method: Any  # SubsetConfig, or the (p_ref, bias, grid, train_cfg) of _ebm_setup
-    # rng -> (proposal, tuning budget, extra rows), as the tuners return them; a
-    # fixed pcn costs nothing, and a subset run in the prior setting has no proposal
-    draw_proposal: Callable[[np.random.Generator], tuple[Optional[Proposal], int, int]]
-
-
-def _replicate_setup(cfg: dict) -> ReplicateSetup:
-    """The setup of cfg's replicates; `load_config` builds it once to validate cfg."""
-    bundle = build_problem(cfg["problem"])
-    mcfg = cfg["method"]
-    subset = mcfg["kind"] == "subset"
-    method = _subset_config(mcfg) if subset else _ebm_setup(mcfg)
-    queries = [RareEventQuery(float(t)) for t in cfg["query"]["thresholds"]]
-    return ReplicateSetup(bundle, queries, method, _proposal_choice(mcfg["proposal"], bundle, subset))
-
-
 def _proposal_choice(pc: dict, bundle: ProblemBundle, subset: bool):
-    """The `draw_proposal` that method.proposal asks for.
+    """rng -> (proposal, tuning budget, extra rows), as method.proposal asks for it.
 
-    A subset run moves by a random walk, tuned only in the posterior setting:
-    in the prior setting its population is drawn from the prior and every
-    level sets its own steps.
+    The tuners return that triple, and a fixed pcn costs nothing. A subset
+    run moves by a random walk, tuned only in the posterior setting: in the
+    prior setting its population is drawn from the prior and every level
+    sets its own steps, so it has no proposal.
     """
-    if pc["pilot_steps"] < 200:
-        raise ConfigurationError("method.proposal.pilot_steps must be >= 200")
-    if not 0.0 < pc["target_accept"] < 1.0:
-        raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
+    check_tuning(pc["target_accept"], pc["pilot_steps"])
     problem, beta = bundle.problem, pc["beta"]
     kind = pc["kind"]
     if subset and kind == "pcn":
@@ -374,15 +350,18 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
     records its budget as it finishes, so an error keeps what came before it.
     """
     rng = np.random.default_rng(cfg["runs"]["base_seed"] + run_index)
-    setup = _replicate_setup(cfg)
-    bundle, queries, traces = setup.bundle, setup.queries, cfg["output"]["traces"]
+    bundle, mcfg, traces = build_problem(cfg["problem"]), cfg["method"], cfg["output"]["traces"]
+    subset = mcfg["kind"] == "subset"
+    method = _subset_config(mcfg) if subset else _ebm_setup(mcfg)
+    draw_proposal = _proposal_choice(mcfg["proposal"], bundle, subset)
+    queries = [RareEventQuery(float(t)) for t in cfg["query"]["thresholds"]]
     out = RunOutcome(run_index, [math.nan] * len(queries), budget=0, tuning_budget=0, steps=0, stop_reason="error")
     try:
-        proposal, out.tuning_budget, out.extra_rows = setup.draw_proposal(rng)
-        if cfg["method"]["kind"] == "subset":
+        proposal, out.tuning_budget, out.extra_rows = draw_proposal(rng)
+        if subset:
             results = []
             for query in queries:
-                results.append(subset_estimate(bundle.problem, query, setup.method, rng, proposal=proposal))
+                results.append(subset_estimate(bundle.problem, query, method, rng, proposal=proposal))
                 out.budget += results[-1].budget
                 out.extra_rows += results[-1].extra_rows
             out.p_hats = [res.p_hat for res in results]
@@ -390,14 +369,14 @@ def run_replicate(cfg: dict, run_index: int) -> RunOutcome:
             return out
 
         # EBM path
-        p_ref, bias, grid, train_cfg = setup.method
+        p_ref, bias, grid, train_cfg = method
         # The per-iteration kl, ksd and p_hat only feed the trace files.
         train_cfg = dataclasses.replace(train_cfg, diagnostics=traces)
         result = train_bias_potential(bundle.problem, queries[0], p_ref, bias, train_cfg, proposal, grid, rng)
         out.budget, out.steps = result.budget, len(result.trace)
         out.extra_rows += result.extra_rows
         window = result.recent_biases
-        if cfg["method"]["estimate_average"] == "potential":
+        if mcfg["estimate_average"] == "potential":
             # Average the potential itself over the window, then read off the
             # tail once; this cancels oscillation of the bias around its
             # fixed point rather than averaging its exponential.
@@ -490,12 +469,7 @@ def summarize_estimates(p_hats, reference: Optional[float] = None, threshold: fl
 
 def _references_for(cfg: dict, bundle: ProblemBundle, thresholds: list[float]) -> list[Optional[float]]:
     ref = cfg["runs"]["reference"]
-    if ref is not None:
-        refs = _as_list(ref)
-    elif bundle.oracle is not None:
-        refs = [_oracle_or_none(bundle.oracle, t) for t in thresholds]
-    else:
-        refs = [None] * len(thresholds)
+    refs = _as_list(ref) if ref is not None else [_oracle_or_none(bundle.oracle, t) for t in thresholds]
     return [None if r is None else float(r) for r in refs]
 
 
@@ -515,7 +489,7 @@ def run_experiment(cfg: dict, jobs: int = 1) -> RunStatistics:
     if jobs > 1 and n_runs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             outcomes = list(pool.map(run_replicate, [cfg] * n_runs, range(n_runs)))
     else:
         outcomes = [run_replicate(cfg, i) for i in range(n_runs)]
@@ -596,9 +570,9 @@ def _strip_output(cfg: dict) -> dict:
 
 
 def _round_floats(obj):
-    # Serialize floats at 17 significant digits (exact for IEEE doubles).
+    # JSON has no NaN or Infinity, so a non-finite float is written as null.
     if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else None
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):

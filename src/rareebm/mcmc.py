@@ -294,6 +294,14 @@ def _adapt(problem, proposal_at: Callable[[float], Proposal], value: float, stat
     return value, state, budget, extra
 
 
+def check_tuning(target_accept: float, pilot_steps: int) -> None:
+    """Reject tuning settings that no tuner can meet: a short pilot, or a target outside (0, 1)."""
+    if pilot_steps < 200:
+        raise ConfigurationError("method.proposal.pilot_steps must be >= 200")
+    if not 0.0 < target_accept < 1.0:  # NaN fails both comparisons
+        raise ConfigurationError("method.proposal.target_accept must lie in (0, 1)")
+
+
 def tune_step_sizes(
     problem: TargetProblem,
     init: np.ndarray,
@@ -310,8 +318,7 @@ def tune_step_sizes(
     whose steps are zero outside the group, the other half a joint
     multiplier. Returns (tuned walk, pilot budget used, extra rows).
     """
-    if pilot_steps < 200:
-        raise ConfigurationError("pilot_steps must be >= 200")
+    check_tuning(target_accept, pilot_steps)
     d = problem.dim
     if groups is None:
         groups = [np.arange(d)]
@@ -355,8 +362,7 @@ def tune_pcn_beta(
     beta0: float = 0.5,
 ) -> tuple[Pcn, int, int]:
     """Tune the pCN mixing parameter; returns (tuned pCN, pilot budget used, extra rows)."""
-    if pilot_steps < 200:
-        raise ConfigurationError("pilot_steps must be >= 200")
+    check_tuning(target_accept, pilot_steps)
     n_batches = max(1, pilot_steps // 100)
     beta, _, budget, extra = _adapt(
         problem, Pcn, beta0, np.asarray(init, dtype=float), rng, target_accept, 100, n_batches, 1.0, (1e-4, 1.0)

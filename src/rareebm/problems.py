@@ -180,7 +180,6 @@ def contamination_problem(spec: ContaminationSpec = ContaminationSpec()) -> Cont
 
 def four_branch(theta) -> np.ndarray:
     """Minimum of the four branch limit-state expressions."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     t1, t2 = theta[:, 0], theta[:, 1]
     sq = 0.1 * (t1 - t2) ** 2
     ssum = (t1 + t2) / math.sqrt(2.0)
@@ -350,7 +349,6 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
         return theta
 
     def to_u(theta):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
         u = np.empty_like(theta)
         z = (theta[:, 0] - loc) / scale
         u[:, 0] = ndtri(np.clip(np.exp(-np.exp(-z)), 1e-300, 1.0 - 1e-16))

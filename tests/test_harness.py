@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -201,6 +202,27 @@ class TestRunExperiment:
             run_experiment(cfg, jobs=jobs)
         for name in ("runs.csv", "summary.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_workers_are_capped_at_the_replicate_count(self, monkeypatch):
+        # an in-process stand-in for the pool, so no process starts: it records its size and maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        stats = run_experiment(tiny_ebm_config(), jobs=64)
+        assert sizes == [2] and stats.n_runs == 2 and stats.n_failed == 0
 
     def test_reference_mismatch(self):
         cfg = tiny_ebm_config()

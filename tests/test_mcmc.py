@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,13 @@ class TestTuning:
             tune_step_sizes(problem, np.zeros(1), rng, pilot_steps=100)
         with pytest.raises(ConfigurationError):
             tune_pcn_beta(problem, np.zeros(1), rng, pilot_steps=100)
+
+    @pytest.mark.parametrize("target_accept", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("tune", [tune_step_sizes, tune_pcn_beta])
+    def test_target_accept_outside_the_open_unit_interval_is_rejected(self, rng, tune, target_accept):
+        # an unreachable target would drive every step to its clip bound
+        with pytest.raises(ConfigurationError, match="target_accept"):
+            tune(scalar_normal_problem(), np.zeros(1), rng, target_accept=target_accept)
 
     def test_tune_pcn_beta(self):
         problem, rows = counting_qoi(four_branch_problem())
