@@ -18,6 +18,10 @@ from rareebm.errors import EstimationError, NumericError
 
 _BANDWIDTH_FLOOR = 1e-3
 
+# wild_bootstrap_test draws and contracts its sign chains in blocks of
+# replicates, each block's work arrays about this many bytes.
+_BOOT_BLOCK_BYTES = 1 << 16
+
 
 @dataclass(frozen=True)
 class SteinKernelConfig:
@@ -98,18 +102,30 @@ def stein_kernel_matrix(
     if bandwidth is None:
         bandwidth = _self_median_heuristic_bandwidth(r)
     score = np.asarray(p_ref.score(r), dtype=float)
-    diff = r[:, None] - r[None, :]
     h2 = bandwidth**2
-    k = np.exp(-0.5 * diff * diff / h2)
-    dk_dr = -diff / h2 * k
-    dk_ds = diff / h2 * k
-    d2k = (1.0 / h2 - diff * diff / h2**2) * k
-    return (
-        d2k
-        + dk_dr * score[None, :]
-        + dk_ds * score[:, None]
-        + k * score[:, None] * score[None, :]
-    )
+    # In place in four n x n arrays, with the IEEE operations of the one
+    # expression d2k + dk_dr * s_j + dk_ds * s_i + k * s_i * s_j in its order,
+    # where dk_dr = -diff / h2 * k and dk_ds = diff / h2 * k: negation is exact,
+    # so (-0.5 * diff) * diff is -0.5 * (diff * diff), dk_dr * s_j is
+    # -(dk_ds * s_j), and adding it is subtracting dk_ds * s_j.
+    diff = np.subtract.outer(r, r)
+    d2k = diff * diff
+    k = d2k * -0.5
+    k /= h2
+    np.exp(k, out=k)
+    d2k /= h2**2
+    np.subtract(1.0 / h2, d2k, out=d2k)
+    d2k *= k
+    diff /= h2
+    diff *= k  # dk_ds
+    term = diff * score
+    d2k -= term
+    np.multiply(diff, score[:, None], out=term)
+    d2k += term
+    np.multiply(k, score[:, None], out=term)
+    term *= score
+    d2k += term
+    return d2k
 
 
 def ksd_statistic(kmat: np.ndarray) -> float:
@@ -157,13 +173,53 @@ def wild_bootstrap_test(
     if not np.any(kmat):
         raise EstimationError("degenerate Stein kernel matrix")
     s_obs = float(kmat.sum()) / n**2
-    flips = rng.random((test_cfg.n_boot, n)) < test_cfg.a_bs
-    flips[:, 0] = False
-    # W_j = (-1)^(flips up to j) = 1 - 2 * (parity of the flips up to j),
-    # formed in place: a bool-to-float product is numpy's slow mixed-type loop.
-    w = np.logical_xor.accumulate(flips, axis=1).astype(float)
-    w *= -2.0
-    w += 1.0
-    s_boot = np.vecdot((kmat.T @ w.T).T, w) / n**2  # the contraction that einsum's optimizer plans
-    p_value = (1.0 + int(np.sum(s_boot >= s_obs))) / (test_cfg.n_boot + 1.0)
+    exceed = sum(int(np.count_nonzero(s >= s_obs)) for s in _replicate_statistics(kmat, test_cfg, rng))
+    p_value = (1.0 + exceed) / (test_cfg.n_boot + 1.0)
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
+
+
+def _block_rows(n_boot: int, n: int) -> int:
+    """Replicates per block: about _BOOT_BLOCK_BYTES of signs, rounded up to a multiple of 8.
+
+    A product's last n_boot % 8 replicates can take one of OpenBLAS dgemm's
+    edge kernels, chosen by the product's size and its split between threads,
+    which round otherwise. An n_boot that is not a multiple of 8 therefore
+    takes one block, the one product. Otherwise no block has edge replicates,
+    and the blocks' statistics are the one product's bit for bit (measured
+    with OpenBLAS 0.3.31's SkylakeX dgemm at one and two threads). Rounding up
+    keeps n = 125 at 72 replicates, clear of the small-matrix kernel's
+    boundary at 64 (64 * 125**2 = 100**3).
+    """
+    if n_boot % 8:
+        return n_boot
+    return min(n_boot, -(-_BOOT_BLOCK_BYTES // (64 * n)) * 8)
+
+
+def _replicate_statistics(kmat: np.ndarray, test_cfg: KsdTestConfig, rng: np.random.Generator):
+    """The bootstrap replicates' squared-KSD statistics, block by block, in bounded memory.
+
+    The signs take the rows of rng.random((n_boot, n)) in order, and the
+    statistics are those of the one product over all replicates, bit for bit
+    (see _block_rows). The signs stay row-major (replicates, n) and the
+    vecdot runs over the transposed product: its strided rows keep OpenBLAS's
+    ddot on that product's path.
+    """
+    n, n_boot = len(kmat), test_cfg.n_boot
+    rows = _block_rows(n_boot, n)
+    w_buf = np.empty((rows, n))
+    flip_buf = np.empty((rows, n), dtype=bool)
+    kw_buf = np.empty((n, rows))
+    for start in range(0, n_boot, rows):
+        m = min(rows, n_boot - start)
+        w, flips, kw = w_buf[:m], flip_buf[:m], kw_buf[:, :m]
+        rng.random(out=w)
+        np.less(w, test_cfg.a_bs, out=flips)
+        flips[:, 0] = False
+        # W_j = (-1)^(flips up to j) = 1 - 2 * (parity of the flips up to j),
+        # formed in place: a bool-to-float product is numpy's slow mixed-type loop.
+        np.logical_xor.accumulate(flips, axis=1, out=flips)
+        np.copyto(w, flips)
+        w *= -2.0
+        w += 1.0
+        np.matmul(kmat.T, w.T, out=kw)
+        yield np.vecdot(kw.T, w) / n**2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,17 @@ class TestWildBootstrap:
         out = wild_bootstrap_test(np.full(50, 1.0), Gaussian(0.0, 1.0),
                                   SteinKernelConfig(), KsdTestConfig(), rng)
         assert out.skipped and out.reject
+
+
+@pytest.mark.parametrize("n_boot", [1000, 20000])
+def test_bootstrap_memory_does_not_grow_with_n_boot(n_boot):
+    samples = 0.3 + np.random.default_rng(5).standard_normal(125)
+    args = (samples, Gaussian(0.0, 1.0), SteinKernelConfig(), KsdTestConfig(n_boot=n_boot))
+    tracemalloc.start()
+    try:
+        wild_bootstrap_test(*args, np.random.default_rng(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Stein matrix's four 125 x 125 arrays and the blocks' work arrays
+    assert peak < 1 << 20

@@ -22,6 +22,8 @@ from rareebm.ksd import (
     KsdTestConfig,
     KsdTestResult,
     SteinKernelConfig,
+    _block_rows,
+    _replicate_statistics,
     _self_median_heuristic_bandwidth,
     stein_kernel_matrix,
     wild_bootstrap_test,
@@ -191,6 +193,42 @@ def test_stein_kernel_matrix_is_symmetric(samples, bandwidth, mean, sd):
     np.testing.assert_allclose(kmat, kmat.T, rtol=1e-12, atol=1e-12 * scale)
 
 
+def _stein_kernel_reference(r, p_ref, bandwidth):
+    """stein_kernel_matrix(r, r) as its former one expression over n x n arrays."""
+    if bandwidth is None:
+        bandwidth = _self_median_heuristic_bandwidth(r)
+    score = np.asarray(p_ref.score(r), dtype=float)
+    diff = r[:, None] - r[None, :]
+    h2 = bandwidth**2
+    k = np.exp(-0.5 * diff * diff / h2)
+    dk_dr = -diff / h2 * k
+    dk_ds = diff / h2 * k
+    d2k = (1.0 / h2 - diff * diff / h2**2) * k
+    return d2k + dk_dr * score[None, :] + dk_ds * score[:, None] + k * score[:, None] * score[None, :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    samples=arrays(float, st.integers(1, 60), elements=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                                                 st.floats(-20.0, 20.0))),
+    bandwidth=st.one_of(st.none(), st.floats(1e-3, 30.0)),
+    shape=st.one_of(st.none(), st.sampled_from([-0.3, 0.0, 0.3])),
+    location=st.floats(-5.0, 5.0),
+    scale=st.floats(0.2, 5.0),
+)
+@example(samples=np.array([1.0, 1.0, 1.0]), bandwidth=None, shape=None, location=0.0, scale=1.0)  # all tied: the floor
+def test_stein_kernel_matrix_is_the_one_expression_bit_for_bit(samples, bandwidth, shape, location, scale):
+    if shape is None:
+        p_ref = Gaussian(location, scale)
+    else:
+        p_ref = Gev(location, scale, shape)
+        # samples inside the support, where the score is finite; the clip makes ties at its edge
+        lo, hi = p_ref.support()
+        samples = np.clip(samples, lo + 1e-3 * scale, hi - 1e-3 * scale)
+    got = stein_kernel_matrix(samples, samples, p_ref, SteinKernelConfig(bandwidth=bandwidth))
+    assert _bits(got) == _bits(_stein_kernel_reference(samples, p_ref, bandwidth))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     lo=st.floats(-100.0, 100.0),
@@ -275,6 +313,10 @@ def _wild_bootstrap_reference(kmat, test_cfg, rng):
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
 
 
+# Replicates per block at n = 125, the sample count of the shipped configs.
+BOOT_BLOCK = _block_rows(8000, 125)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(2, 150),
@@ -284,12 +326,54 @@ def _wild_bootstrap_reference(kmat, test_cfg, rng):
     seed=seeds,
 )
 @example(n=125, shift=0.3, a_bs=0.4, n_boot=1000, seed=7)  # the shipped test settings
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=1, seed=7)
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=BOOT_BLOCK - 1, seed=7)
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=BOOT_BLOCK, seed=7)
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=BOOT_BLOCK + 1, seed=7)
+@example(n=125, shift=0.3, a_bs=0.4, n_boot=BOOT_BLOCK + 8, seed=7)  # a full block and a block of 8
+@example(n=2, shift=0.3, a_bs=0.4, n_boot=1000, seed=7)  # one block covers every replicate
 def test_wild_bootstrap_result_is_the_cumprod_chain_result(n, shift, a_bs, n_boot, seed):
     samples = shift + np.random.default_rng(seed).standard_normal(n)
     p_ref, kernel, test_cfg = Gaussian(0.0, 1.0), SteinKernelConfig(), KsdTestConfig(a_bs=a_bs, n_boot=n_boot)
-    got = wild_bootstrap_test(samples, p_ref, kernel, test_cfg, np.random.default_rng(seed + 1))
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = wild_bootstrap_test(samples, p_ref, kernel, test_cfg, rng)
     kmat = stein_kernel_matrix(samples, samples, p_ref, kernel)
-    assert got == _wild_bootstrap_reference(kmat, test_cfg, np.random.default_rng(seed + 1))
+    assert got == _wild_bootstrap_reference(kmat, test_cfg, ref_rng)
+    # the blocks take the uniforms of rng.random((n_boot, n)) in order, and no others
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _replicate_statistics_reference(kmat, test_cfg, rng):
+    """The replicates' statistics as the former one product over all n_boot sign chains."""
+    n = len(kmat)
+    flips = rng.random((test_cfg.n_boot, n)) < test_cfg.a_bs
+    flips[:, 0] = False
+    w = np.logical_xor.accumulate(flips, axis=1).astype(float)
+    w *= -2.0
+    w += 1.0
+    return np.vecdot((kmat.T @ w.T).T, w) / n**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 200), n_boot=st.integers(1, 1500), a_bs=st.floats(0.01, 0.5), seed=seeds)
+@example(n=125, n_boot=1000, a_bs=0.4, seed=7)  # the shipped test settings: 13 blocks of 72 and one of 64
+@example(n=125, n_boot=20000, a_bs=0.4, seed=7)
+@example(n=125, n_boot=1003, a_bs=0.4, seed=7)  # not a multiple of 8: the one product
+@example(n=40, n_boot=1000, a_bs=0.4, seed=7)  # blocks of 208
+@example(n=200, n_boot=1000, a_bs=0.01, seed=7)  # blocks of 48, most sign chains unflipped
+def test_replicate_statistics_are_the_one_product_bit_for_bit(n, n_boot, a_bs, seed):
+    """The blocks' statistics are the one product's, bit for bit, at any BLAS thread count.
+
+    Verified with OpenBLAS 0.3.31 (numpy's scipy-openblas, SkylakeX dgemm) on
+    a 2-vCPU Xeon at one, two and four threads, the only platform checked.
+    """
+    samples = np.random.default_rng(seed).standard_normal(n)
+    kmat = stein_kernel_matrix(samples, samples, Gaussian(0.0, 1.0), SteinKernelConfig())
+    test_cfg = KsdTestConfig(a_bs=a_bs, n_boot=n_boot)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = np.concatenate(list(_replicate_statistics(kmat, test_cfg, rng)))
+    assert _bits(got) == _bits(_replicate_statistics_reference(kmat, test_cfg, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
