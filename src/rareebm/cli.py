@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from rareebm.errors import ConfigurationError, EstimationError, NumericError, TrainingError
+from rareebm.errors import ConfigurationError, NumericError
 from rareebm.harness import _SCHEMA, TABLE_ROWS, _round_floats, build_problem, load_config, replicate_table
 from rareebm.harness import run_experiment
 
@@ -28,7 +28,9 @@ def _cmd_run(args) -> int:
         cfg["output"]["dir"] = args.out_dir
     stats = run_experiment(cfg, jobs=args.jobs)
     print(json.dumps(_round_floats(stats.as_dict()), indent=2, sort_keys=True))
-    return 0 if stats.n_failed < stats.n_runs else 3
+    if stats.n_failed == stats.n_runs:
+        raise NumericError("every replicate failed; runs.csv gives each error")
+    return 0
 
 
 def _cmd_replicate(args) -> int:
@@ -67,7 +69,9 @@ def _cmd_traces(args) -> int:
         raise ConfigurationError("traces are only recorded for the ebm method")
     stats = run_experiment(cfg, jobs=1)
     print(f"trace written to {Path(cfg['output']['dir']) / 'trace_0.csv'}")
-    return 0 if stats.n_failed == 0 else 3
+    if stats.n_failed:
+        raise NumericError("the replicate failed; runs.csv gives its error")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +110,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, TrainingError, EstimationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NumericError and its TrainingError and EstimationError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -157,10 +157,12 @@ def wild_bootstrap_test(
 
     The observed statistic is the squared-KSD V-statistic (all signs +1);
     replicates multiply the kernel matrix entries by W_i W_j where W is a
-    sign chain flipping with probability a_bs. The null (samples follow
-    p_ref) is rejected when the p-value falls below the test size 1 - alpha.
-    The Stein kernel matrix is built only once the samples pass the
-    degenerate-sample check.
+    sign chain flipping with probability a_bs. A chain with no flip is the
+    all-+1 chain, whose statistic is exactly the observed one, so it counts as
+    an exceedance whatever its rounding. The null (samples follow p_ref) is
+    rejected when the p-value falls below the test size 1 - alpha. The Stein
+    kernel matrix is built only once the samples pass the degenerate-sample
+    check.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -173,53 +175,36 @@ def wild_bootstrap_test(
     if not np.any(kmat):
         raise EstimationError("degenerate Stein kernel matrix")
     s_obs = float(kmat.sum()) / n**2
-    exceed = sum(int(np.count_nonzero(s >= s_obs)) for s in _replicate_statistics(kmat, test_cfg, rng))
+    exceed = sum(int(np.count_nonzero((s >= s_obs) | unflipped))
+                 for s, unflipped in _replicate_statistics(kmat, test_cfg, rng))
     p_value = (1.0 + exceed) / (test_cfg.n_boot + 1.0)
     return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
 
 
-def _block_rows(n_boot: int, n: int) -> int:
-    """Replicates per block: about _BOOT_BLOCK_BYTES of signs, rounded up to a multiple of 8.
-
-    A product's last n_boot % 8 replicates can take one of OpenBLAS dgemm's
-    edge kernels, chosen by the product's size and its split between threads,
-    which round otherwise. An n_boot that is not a multiple of 8 therefore
-    takes one block, the one product. Otherwise no block has edge replicates,
-    and the blocks' statistics are the one product's bit for bit (measured
-    with OpenBLAS 0.3.31's SkylakeX dgemm at one and two threads). Rounding up
-    keeps n = 125 at 72 replicates, clear of the small-matrix kernel's
-    boundary at 64 (64 * 125**2 = 100**3).
-    """
-    if n_boot % 8:
-        return n_boot
-    return min(n_boot, -(-_BOOT_BLOCK_BYTES // (64 * n)) * 8)
-
-
 def _replicate_statistics(kmat: np.ndarray, test_cfg: KsdTestConfig, rng: np.random.Generator):
-    """The bootstrap replicates' squared-KSD statistics, block by block, in bounded memory.
+    """Each block's replicate statistics and which of its sign chains never flip, in bounded memory.
 
-    The signs take the rows of rng.random((n_boot, n)) in order, and the
-    statistics are those of the one product over all replicates, bit for bit
-    (see _block_rows). The signs stay row-major (replicates, n) and the
-    vecdot runs over the transposed product: its strided rows keep OpenBLAS's
-    ddot on that product's path.
+    The signs take the rows of rng.random((n_boot, n)) in order, in blocks of
+    a multiple of 8 replicates (for speed) with about _BOOT_BLOCK_BYTES of
+    signs each; the last block holds the remainder.
     """
     n, n_boot = len(kmat), test_cfg.n_boot
-    rows = _block_rows(n_boot, n)
+    rows = min(n_boot, max(1, _BOOT_BLOCK_BYTES // (64 * n)) * 8)
     w_buf = np.empty((rows, n))
     flip_buf = np.empty((rows, n), dtype=bool)
-    kw_buf = np.empty((n, rows))
+    kw_buf = np.empty((rows, n))
     for start in range(0, n_boot, rows):
         m = min(rows, n_boot - start)
-        w, flips, kw = w_buf[:m], flip_buf[:m], kw_buf[:, :m]
+        w, flips, kw = w_buf[:m], flip_buf[:m], kw_buf[:m]
         rng.random(out=w)
         np.less(w, test_cfg.a_bs, out=flips)
         flips[:, 0] = False
+        unflipped = ~flips.any(axis=1)
         # W_j = (-1)^(flips up to j) = 1 - 2 * (parity of the flips up to j),
         # formed in place: a bool-to-float product is numpy's slow mixed-type loop.
         np.logical_xor.accumulate(flips, axis=1, out=flips)
         np.copyto(w, flips)
         w *= -2.0
         w += 1.0
-        np.matmul(kmat.T, w.T, out=kw)
-        yield np.vecdot(kw.T, w) / n**2
+        np.matmul(w, kmat, out=kw)
+        yield np.vecdot(kw, w) / n**2, unflipped

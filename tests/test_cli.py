@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -80,6 +81,17 @@ def test_non_positive_jobs_is_rejected(tmp_path, capsys, jobs, command):
     assert main(["--jobs", jobs, "--out-dir", str(out), command, target]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_whose_every_replicate_fails_exits_3(tmp_path, capsys):
+    # Replicate 44 of load_capacity_100_nonpar at base seed 0 fails: its chain samples degenerate.
+    cfg = json.loads((resources.files("rareebm") / "configs" / "load_capacity_100_nonpar.json").read_text())
+    cfg["runs"]["n_runs"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--out-dir", str(tmp_path / "out"), "--seed", "44", "run", str(path)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert ",error," in (tmp_path / "out" / "runs.csv").read_text()
 
 
 def test_traces_rejects_subset(tmp_path):

@@ -96,13 +96,18 @@ DIGESTS = {
 }
 
 
+def child_env(threads: int) -> dict[str, str]:
+    """This process's environment with rareebm importable and every BLAS pool at `threads` threads."""
+    src = str(Path(rareebm.__file__).resolve().parents[1])
+    env = {**os.environ, **{var: str(threads) for var in THREAD_VARS}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def output_digests(config: str, out_dir) -> dict[str, str]:
     """{file name: sha256} of the CSVs that two traced replicates of a shipped config write."""
-    src = str(Path(rareebm.__file__).resolve().parents[1])
-    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", RUN_CONFIG, config, str(out_dir)],
-                          env=env, capture_output=True, text=True)
+                          env=child_env(1), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.csv"))}
 

@@ -1,8 +1,13 @@
+import itertools
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_config_fingerprints import child_env
 from rareebm.densities import Gaussian
 from rareebm.errors import NumericError
 from rareebm.ksd import (
@@ -109,7 +114,7 @@ class TestWildBootstrap:
         assert out.skipped and out.reject
 
 
-@pytest.mark.parametrize("n_boot", [1000, 20000])
+@pytest.mark.parametrize("n_boot", [1000, 1003, 20000])
 def test_bootstrap_memory_does_not_grow_with_n_boot(n_boot):
     samples = 0.3 + np.random.default_rng(5).standard_normal(125)
     args = (samples, Gaussian(0.0, 1.0), SteinKernelConfig(), KsdTestConfig(n_boot=n_boot))
@@ -121,3 +126,34 @@ def test_bootstrap_memory_does_not_grow_with_n_boot(n_boot):
         tracemalloc.stop()
     # the Stein matrix's four 125 x 125 arrays and the blocks' work arrays
     assert peak < 1 << 20
+
+
+# Run in the child: the p-value of wild_bootstrap_test for each (n, n_boot, a_bs, seed) in argv[1].
+BOOTSTRAP_P_VALUES = """
+import json, sys
+import numpy as np
+from rareebm.densities import Gaussian
+from rareebm.ksd import KsdTestConfig, SteinKernelConfig, wild_bootstrap_test
+p_values = []
+for n, n_boot, a_bs, seed in json.loads(sys.argv[1]):
+    samples = 0.3 + np.random.default_rng(seed).standard_normal(n)
+    test_cfg = KsdTestConfig(a_bs=a_bs, n_boot=n_boot)
+    rng = np.random.default_rng(seed + 1)
+    p_values.append(wild_bootstrap_test(samples, Gaussian(0.0, 1.0), SteinKernelConfig(), test_cfg, rng).p_value)
+print(json.dumps(p_values))
+"""
+
+# A small flip probability or few samples leave many sign chains unflipped, each one
+# tying the observed statistic up to rounding.
+THREAD_CASES = list(itertools.product((2, 40, 125, 150), (1, 63, 64, 65, 400, 1003), (0.01, 0.4), range(10)))
+
+
+def _p_values(threads: int) -> list[float]:
+    proc = subprocess.run([sys.executable, "-c", BOOTSTRAP_P_VALUES, json.dumps(THREAD_CASES)],
+                          env=child_env(threads), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_p_values_do_not_follow_the_blas_thread_count():
+    assert _p_values(2) == _p_values(1)
