@@ -8,6 +8,7 @@ trapezoid integration.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -101,10 +102,7 @@ class Gev:
             inside = base > 0
             logt = np.where(inside, -np.log(np.maximum(base, 1e-300)) / self.shape, 0.0)
         t = np.exp(logt)
-        val = np.where(inside, np.exp((self.shape + 1.0) * logt - t) / self.scale, 0.0)
-        if np.ndim(r) == 0:
-            return float(val)
-        return val
+        return np.where(inside, np.exp((self.shape + 1.0) * logt - t) / self.scale, 0.0)
 
     def score(self, r):
         r = np.asarray(r, dtype=float)
@@ -113,12 +111,8 @@ class Gev:
             raise NumericError("score requested outside the density support")
         t = self._t(r)
         if self._gumbel:
-            val = (-1.0 + t) / self.scale
-        else:
-            val = (t ** (1.0 + self.shape) - (self.shape + 1.0) * t**self.shape) / self.scale
-        if np.ndim(r) == 0:
-            return float(val)
-        return val
+            return (-1.0 + t) / self.scale
+        return (t ** (1.0 + self.shape) - (self.shape + 1.0) * t**self.shape) / self.scale
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -169,21 +163,6 @@ class GridFunction:
         xs.flags.writeable = False
         return xs
 
-    @cached_property
-    def _value_floats(self) -> memoryview:
-        """The values as a buffer whose items read as Python floats.
-
-        A view, not a copy: it costs no memory per copy of the grid and always
-        reads the current values.
-        """
-        return memoryview(self.values)
-
-    def __getstate__(self):
-        # A memoryview cannot be pickled or deep-copied; the copy builds its own.
-        state = self.__dict__.copy()
-        state.pop("_value_floats", None)
-        return state
-
     def same_domain(self, other: "GridFunction") -> bool:
         return (
             math.isclose(self.lo, other.lo)
@@ -195,42 +174,27 @@ class GridFunction:
     def interp(self, r):
         """Linear interpolation, constant beyond the grid edges.
 
-        A float r (one MH proposal) skips np.interp's Python wrapper: the
-        node comes from the equispaced spacing, checked against xs, and
-        np.interp's own formula is evaluated in floats, so the value is the
-        same bit for bit. Nodes and values are read as Python floats from the
-        shared node list and the value buffer, not through ndarray.item.
+        A float r (one MH proposal) skips np.interp's Python wrapper: the node
+        comes from bisect on the shared node list, and np.interp's own formula
+        is evaluated in floats, so the value is the same bit for bit.
         """
         if not isinstance(r, float):
             return np.interp(np.asarray(r, dtype=float), self.xs, self.values)
-        xs, fp = self._node_floats, self._value_floats
+        xs, fp = self._node_floats, self.values
         if not xs:
             xs.extend(self.xs.tolist())
-        last = len(xs) - 1
-        lo, hi = xs[0], xs[last]
-        if r <= lo:
-            return fp[0]
-        if r >= hi:
-            return fp[last]
+        if r <= xs[0]:
+            return fp.item(0)
+        if r >= xs[-1]:
+            return fp.item(-1)
         if r != r:  # NaN
             return r
-        # lo < r < hi: xs[j] <= r < xs[j + 1] after at most a step of correction.
-        j = min(int((r - lo) / ((hi - lo) / last)), last - 1)
-        while xs[j] > r:
-            j -= 1
-        while xs[j + 1] <= r:
-            j += 1
-        x0, y0 = xs[j], fp[j]
+        j = bisect.bisect_right(xs, r) - 1
+        x0, y0 = xs[j], fp.item(j)
         if x0 == r:
             return y0
-        x1, y1 = xs[j + 1], fp[j + 1]
-        slope = (y1 - y0) / (x1 - x0)
-        res = slope * (r - x0) + y0
-        if res != res:  # np.interp's fallback when the slope overflows
-            res = slope * (r - x1) + y1
-            if res != res and y0 == y1:
-                res = y0
-        return res
+        x1, y1 = xs[j + 1], fp.item(j + 1)
+        return (y1 - y0) / (x1 - x0) * (r - x0) + y0
 
     def with_values(self, values) -> "GridFunction":
         grid = GridFunction(self.lo, self.hi, self.h, np.asarray(values, dtype=float))
@@ -242,7 +206,7 @@ def grid_normalize(g: GridFunction) -> GridFunction:
     """Rescale grid values so the total trapezoid integral equals one."""
     total = float(np.trapezoid(g.values, dx=g.h))
     if total <= 0:
-        raise NumericError("cannot normalize: total integral <= 0")
+        raise EstimationError("cannot normalize: total integral <= 0")
     return g.with_values(g.values / total)
 
 

@@ -110,8 +110,6 @@ def conjugate_gaussian_posterior(prior_mean, prior_cov, obs_matrix, noise_cov, d
     obs = np.asarray(obs_matrix, dtype=float)
     noise_cov = np.asarray(noise_cov, dtype=float)
     data = np.asarray(data, dtype=float)
-    if obs.shape[0] == 0:
-        return prior_mean.copy(), prior_cov.copy()
     s = obs @ prior_cov @ obs.T + noise_cov
     gain = prior_cov @ obs.T @ np.linalg.inv(s)
     mean = prior_mean + gain @ (data - obs @ prior_mean)
@@ -355,12 +353,6 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
         u[:, 1:] = (np.log(theta[:, 1:]) - mu_i) / sd_i
         return u
 
-    def sample_prior(g: np.random.Generator, m: int):
-        theta = np.empty((m, n + 1))
-        theta[:, 0] = loc - scale * np.log(-np.log(g.uniform(size=m)))
-        theta[:, 1:] = np.exp(g.normal(mu_i, sd_i, size=(m, n)))
-        return theta
-
     post_var = 1.0 / (1.0 / var_i + 1.0 / sy2)
     post_mean = post_var * (mu_i / var_i + log_y / sy2)
 
@@ -375,7 +367,6 @@ def load_capacity_problem(spec: LoadCapacitySpec = LoadCapacitySpec()) -> LoadCa
         log_likelihood=log_likelihood,
         from_standard_normal=from_u,
         to_standard_normal=to_u,
-        sample_prior=sample_prior,
         init_point=median_theta,
     )
     return LoadCapacityProblem(

@@ -120,7 +120,7 @@ class TrainConfig:
 class TrainRecord:
     iteration: int
     kl: Optional[float]
-    ksd: Optional[float]  # NaN when a sample lies outside p_ref's support
+    ksd: Optional[float]  # NaN when a sample lies outside p_ref's support or only one is kept
     p_hat: Optional[float]  # kl, ksd and p_hat are None with TrainConfig.diagnostics off
     budget: int  # cumulative forward evaluations
     acceptance: float
@@ -250,7 +250,8 @@ def train_bias_potential(
 
             # The score, and with it the Stein kernel, is undefined outside a
             # bounded support: the trace records a NaN KSD and the stopping test
-            # counts the iteration as a rejection.
+            # counts the iteration as a rejection. A diagnostic that cannot be
+            # computed (no KDE, a single kept sample) is recorded as missing.
             inside = not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi))
             p_hat = kl = ksd_val = None
             if cfg.diagnostics:
@@ -258,7 +259,7 @@ def train_bias_potential(
                 if track_kl and p_v_kde is not None:
                     kl = estimate_kl(p_ref_grid, p_v_kde)
                 ksd_val = math.nan
-                if inside:
+                if inside and len(s_samples) > 1:
                     ksd_val = ksd_statistic(stein_kernel_matrix(s_samples, s_samples, p_ref, kernel))
             record = TrainRecord(it, kl, ksd_val, p_hat, budget, acceptance=res.acceptance_rate)
             trace.append(record)

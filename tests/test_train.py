@@ -225,6 +225,34 @@ class TestTraining:
         assert all(r.kl is not None and r.ksd is not None and r.p_hat is not None for r in on.trace)
         assert all(r.kl is None and r.ksd is None and r.p_hat is None for r in off.trace)
 
+    @pytest.mark.parametrize("trigger", ["kde_off_the_grid", "one_kept_sample"])
+    def test_diagnostics_that_cannot_be_computed_are_recorded_as_missing(self, trigger):
+        # The standard-normal chain lies 40 or more bandwidths below the grid, so
+        # its KDE is 0.0 on every node and cannot be normalized; with one kept
+        # sample there is no KDE and no KSD. Either way the RBF form trains as
+        # it does with diagnostics off, and the grid form, whose update needs
+        # the KDE, fails as a degenerate chain.
+        problem = scalar_normal_problem()
+        lo, hi, p_ref, n_keep = -100.0, -30.0, Gaussian(-60.0, 5.0), 50
+        if trigger == "one_kept_sample":
+            lo, hi, p_ref, n_keep = -8.0, 8.0, Gaussian(0.0, 2.0), 1
+        cfg = dict(max_steps=3, n_grad_samples=n_keep, chain=ChainConfig(burn_in=10, thin=1, n_keep=n_keep),
+                   schedule=ConstantLr(2.0))
+        from rareebm.problems import RareEventQuery
+
+        def run(bias, diagnostics):
+            return train_bias_potential(problem, RareEventQuery(0.5 * (lo + hi)), p_ref, bias,
+                                        TrainConfig(**cfg, diagnostics=diagnostics), RandomWalk(np.array([2.4])),
+                                        GridFunction.zeros(lo, hi, 0.1), np.random.default_rng(11))
+
+        on, off = (run(RbfBias.zero(20, lo, hi, 1.0), diagnostics) for diagnostics in (True, False))
+        assert on.budget == off.budget and len(on.trace) == len(off.trace) == 3
+        np.testing.assert_array_equal(on.bias.params, off.bias.params)
+        assert all(r.kl is None and r.p_hat is not None for r in on.trace)
+        assert all(math.isnan(r.ksd) == (trigger == "one_kept_sample") for r in on.trace)
+        with pytest.raises(TrainingError, match="KDE unavailable"):
+            run(GridBias.zero(lo, hi, 0.1), True)
+
     def test_samples_outside_a_bounded_support_record_nan_and_never_stop(self, monkeypatch):
         # GEV with shape 0.5 has support r > -1: the standard-normal chain falls below it
         problem, _, grid, bias = self._setup()
