@@ -13,14 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rareebm.densities import GridFunction
+from rareebm.densities import _EXP_FLOOR, GridFunction, floored_exp
 
-# |kappa * (r - b_j)| at or beyond which exp(-(kappa * (r - b_j))^2) is exactly
-# 0.0: the exponent is <= -745.29, below the -745.13 where float64 exp
-# underflows. Such terms are set to 0.0 rather than evaluated, because numpy's
-# exp takes a slow path, over ten times the cost of a normal result, on every
-# underflow.
-_RBF_CUTOFF = 27.3
+# |kappa * (r - b_j)| at which the exponent -(kappa * (r - b_j))^2 reaches
+# _EXP_FLOOR (26.6157): the float read evaluates the centers within it.
+_RBF_CUTOFF = math.sqrt(-_EXP_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,11 @@ class RbfBias:
     # with_params copy shares it and a grid readout is one matrix-vector
     # product.
     _grid_features: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
-    # The centers as a Python list, for bisecting a float's window of reach;
-    # filled on its first use and shared by every with_params copy, as above.
-    _center_list: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # For reading one float r: the centers as a Python list to bisect, kappa
+    # as a 0-d array (numpy converts a Python float operand on every call) and
+    # a zero feature vector to copy. Filled on the first such read and shared
+    # by every with_params copy, as above.
+    _float_read: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -60,38 +59,43 @@ class RbfBias:
     def zero(cls, n_basis: int, lo: float, hi: float, kappa: float) -> "RbfBias":
         return cls(np.zeros(n_basis), np.linspace(lo, hi, n_basis), kappa)
 
-    def _exponent(self, t):
+    @staticmethod
+    def _exponent(t, kappa):
         """-(kappa * t)^2 in place, for t holding r - b_j."""
-        t *= self.kappa
+        t *= kappa
         np.multiply(t, t, out=t)
         return np.negative(t, out=t)
 
     def features(self, r):
-        """Kernel activations exp(-(kappa*(r-b_j))^2); also d V / d w_j."""
+        """Kernel activations exp(-(kappa*(r-b_j))^2), floored; also d V / d w_j."""
         r = np.asarray(r, dtype=float)
-        t = self._exponent(r[..., None] - self.centers)
-        # "not <= -cutoff^2" rather than "> -cutoff^2", so a NaN exponent is
-        # still evaluated (to NaN).
-        skip = t <= -_RBF_CUTOFF * _RBF_CUTOFF
-        np.copyto(t, 0.0, where=skip)
-        np.logical_not(skip, out=skip)
-        return np.exp(t, out=t, where=skip)
+        return floored_exp(self._exponent(r[..., None] - self.centers, self.kappa))
 
     def __call__(self, r):
         if isinstance(r, float) and math.isfinite(r):
-            # One MH proposal: evaluate only the centers within reach of r.
-            # The product stays over all n features, since a dot over the
-            # window alone would group BLAS's sum differently.
-            reach = _RBF_CUTOFF / self.kappa
-            centers = self._center_list
-            if not centers:
-                centers.extend(self.centers.tolist())
+            # One MH proposal: evaluate only the centers whose exponent is
+            # above the floor. The product stays over all n features, since a
+            # dot over the window alone would group BLAS's sum differently.
+            if not self._float_read:
+                self._float_read[:] = [self.centers.tolist(), np.array(float(self.kappa)), np.zeros(len(self.centers))]
+            centers, kappa, zeros = self._float_read
+            k, n = self.kappa, len(centers)
+            reach = _RBF_CUTOFF / k
             lo = bisect.bisect_right(centers, r - reach)
             hi = bisect.bisect_left(centers, r + reach)
-            feats = np.zeros(len(centers))
+            # r -+ reach rounds, so settle each edge by features' exponent.
+            while lo and -((u := k * (r - centers[lo - 1])) * u) > _EXP_FLOOR:
+                lo -= 1
+            while lo < hi and -((u := k * (r - centers[lo])) * u) <= _EXP_FLOOR:
+                lo += 1
+            while hi < n and -((u := k * (r - centers[hi])) * u) > _EXP_FLOOR:
+                hi += 1
+            while hi > lo and -((u := k * (r - centers[hi - 1])) * u) <= _EXP_FLOOR:
+                hi -= 1
+            feats = zeros.copy()
             t = feats[lo:hi]
             np.subtract(r, self.centers[lo:hi], out=t)
-            np.exp(self._exponent(t), out=t)
+            np.exp(self._exponent(t, kappa), out=t)
             return feats @ self.weights
         nodes, feats = self._grid_features
         if r is not nodes:
@@ -109,7 +113,7 @@ class RbfBias:
     def with_params(self, params) -> "RbfBias":
         bias = RbfBias(np.asarray(params, dtype=float), self.centers, self.kappa)
         object.__setattr__(bias, "_grid_features", self._grid_features)
-        object.__setattr__(bias, "_center_list", self._center_list)
+        object.__setattr__(bias, "_float_read", self._float_read)
         return bias
 
     with_weights = with_params  # the RBF-specific name of the same constructor

@@ -21,10 +21,13 @@ from rareebm.errors import EstimationError, NumericError
 # avoid catastrophic cancellation in (1 + xi*z)**(-1/xi).
 _GUMBEL_SHAPE_TOL = 1e-8
 
-# kde_gaussian: |z| at or beyond which exp(-0.5 * z * z) is exactly 0.0 (the
-# exponent is <= -800, below the -745.2 where float64 exp underflows), and
+# log(DBL_MIN): both Gaussian kernels set a term whose exponent is at or below
+# it to 0.0 unevaluated (floored_exp), as numpy's exp leaves its SIMD loop for
+# every result below DBL_MIN, the smallest normal double.
+_EXP_FLOOR = math.log(np.finfo(float).tiny)
+# kde_gaussian: |z| at or beyond which -0.5 * z * z is below _EXP_FLOOR, and
 # the size of one block of its node-by-sample work arrays.
-_KDE_CUTOFF = 40.0
+_KDE_CUTOFF = math.sqrt(-2.0 * _EXP_FLOOR)
 _KDE_BLOCK_BYTES = 1 << 16
 
 
@@ -229,15 +232,23 @@ def nrd_bandwidth(samples: np.ndarray) -> float:
     return bw
 
 
+def floored_exp(t):
+    """np.exp(t) in place, with 0.0 unevaluated where t <= _EXP_FLOOR; NaN stays NaN."""
+    skip = t <= _EXP_FLOOR
+    np.copyto(t, 0.0, where=skip)
+    np.logical_not(skip, out=skip)
+    return np.exp(t, out=t, where=skip)
+
+
 def kde_gaussian(samples, grid: GridFunction, bandwidth: float | None = None) -> GridFunction:
     """Gaussian-kernel density estimate of the samples on the grid nodes.
 
     Direct summation over samples; sample counts here are at most a few
     hundred per call so no binning is needed. A node's value is the sum over
     the samples of exp(-0.5 * z * z), z = (node - sample) / bandwidth, over
-    n * bandwidth * sqrt(2 pi). The nodes go through in blocks that stay in
-    cache. A node 40 or more bandwidths beyond every sample is 0.0 without
-    evaluating its exponentials, which all underflow (np.exp's slow path).
+    n * bandwidth * sqrt(2 pi), with floored_exp's floor. The nodes go through
+    in blocks that stay in cache. A node 37.64 or more bandwidths beyond every
+    sample is 0.0 without evaluating its exponentials.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 2 or len(np.unique(samples)) < 2:
@@ -261,7 +272,7 @@ def kde_gaussian(samples, grid: GridFunction, bandwidth: float | None = None) ->
         zb /= bandwidth
         np.multiply(zb, -0.5, out=tb)
         tb *= zb
-        np.exp(tb, out=tb)
+        floored_exp(tb)
         tb.sum(axis=1, out=dens[lo:hi])
     dens /= n * bandwidth * math.sqrt(2.0 * math.pi)
     return grid.with_values(dens)

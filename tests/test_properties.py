@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import counting_base, counting_qoi, scalar_normal_problem
 from rareebm.bias import _RBF_CUTOFF, GridBias, RbfBias
-from rareebm.densities import Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
+from rareebm.densities import _EXP_FLOOR, Gaussian, Gev, GridFunction, grid_normalize, kde_gaussian, nrd_bandwidth
 from rareebm.estimator import FreeEnergyEstimate, free_energy_from_bias, tail_probability
 from rareebm.errors import ConfigurationError, NumericError
 from rareebm.harness import build_problem, load_config, run_replicate
@@ -119,9 +119,10 @@ def test_rbf_grid_readout_is_features_times_weights(weights, kappa, lo, h, r):
 
 
 def _rbf_reference(bias, r):
-    """RBF features as the one array expression, every exponential evaluated."""
+    """RBF features as the one array expression, every exponent at or below the floor set to 0.0."""
     r = np.asarray(r, dtype=float)
-    return np.exp(-((bias.kappa * (r[..., None] - bias.centers)) ** 2))
+    t = -((bias.kappa * (r[..., None] - bias.centers)) ** 2)
+    return np.where(t <= _EXP_FLOOR, 0.0, np.exp(t))
 
 
 def _bits(x) -> bytes:
@@ -137,15 +138,15 @@ def _bits(x) -> bytes:
     j=st.integers(0, 599),
     u=st.floats(-0.5, 1.5),
 )
-# load_capacity_100_rbf's bias at a typical r: 272 of the 500 terms in reach
+# load_capacity_100_rbf's bias at a typical r: 266 of the 500 terms in reach
 @example(n_centers=500, span=200.0, kappa=0.5, seed=1, j=235, u=0.47)
 @example(n_centers=3, span=4.0, kappa=2.0, seed=2, j=1, u=0.5)  # 2 spacings per unit of kappa * r
-def test_rbf_bias_is_the_full_exponential_bit_for_bit(n_centers, span, kappa, seed, j, u):
+def test_rbf_bias_is_the_floored_exponential_bit_for_bit(n_centers, span, kappa, seed, j, u):
     centers = np.linspace(-span / 2.0, span / 2.0, n_centers)
     weights = np.random.default_rng(seed).standard_normal(n_centers)
     bias = RbfBias(weights, centers, kappa)
     spacing = span / max(n_centers - 1, 1)
-    reach = _RBF_CUTOFF / kappa  # where |kappa * (r - b_j)| reaches the cutoff
+    reach = _RBF_CUTOFF / kappa  # where the exponent of b_j's term reaches the floor
     b, first, last = centers[j % n_centers], centers[0], centers[-1]
     points = [
         b,  # exactly on a center
@@ -153,9 +154,8 @@ def test_rbf_bias_is_the_full_exponential_bit_for_bit(n_centers, span, kappa, se
         last + 3.0 * reach + span,
         # a center one spacing inside, at, and one spacing beyond the cutoff
         *(b + side * (reach + d) for side in (-1.0, 1.0) for d in (-spacing, 0.0, spacing)),
-        # only the outermost center in reach, its term a subnormal
-        first - 27.0 / kappa,
-        last + 27.0 / kappa,
+        # one ulp either side of the outermost centers' reach
+        *(math.nextafter(x, toward) for x in (first - reach, last + reach) for toward in (-math.inf, math.inf)),
         first + u * (last - first),  # interior, or beyond either end
         math.nan,
         math.inf,
@@ -176,6 +176,33 @@ def test_rbf_bias_is_the_full_exponential_bit_for_bit(n_centers, span, kappa, se
     assert _bits(bias(xs)) == _bits(want)
     assert bias._grid_features[0] is xs
     assert _bits(bias(xs)) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centers=arrays(float, st.integers(1, 40), elements=st.floats(-200.0, 200.0), unique=True),
+    kappa=st.floats(0.01, 5.0),
+    x=st.floats(),  # any double, +-inf and NaN included
+    i=st.integers(0, 39),
+    side=st.sampled_from([-1.0, 1.0]),
+    ulps=st.integers(-3, 3),
+)
+def test_rbf_terms_are_zero_or_normal(centers, kappa, x, i, side, ulps):
+    """No RBF term, in features or in the float read, lies strictly between 0 and DBL_MIN."""
+    centers = np.sort(centers)
+    near = float(centers[i % len(centers)] + side * _RBF_CUTOFF / kappa)  # a term's exponent near the floor
+    for _ in range(abs(ulps)):
+        near = math.nextafter(near, math.copysign(math.inf, ulps))
+    bias = RbfBias(np.zeros(len(centers)), centers, kappa)
+    tiny = np.finfo(float).tiny
+    for r in (x, near):
+        with np.errstate(over="ignore"):  # a huge r's exponent is -inf, its term 0.0
+            feats = bias.features(r)
+        assert not np.any((feats > 0.0) & (feats < tiny)), r
+        if math.isfinite(r):
+            # the float read with unit weights returns one of its terms exactly
+            read = np.array([bias.with_params(unit)(r) for unit in np.eye(len(centers))])
+            assert not np.any((read > 0.0) & (read < tiny)), r
 
 
 @settings(max_examples=50, deadline=None)
@@ -272,11 +299,12 @@ def test_self_pair_bandwidth_is_the_doubled_set_median(x, nan_at):
 
 
 def _kde_reference(samples, grid, bandwidth):
-    """kde_gaussian's values as one node-by-sample array expression."""
+    """kde_gaussian's values as one node-by-sample array expression, every exponent at or below the floor set to 0.0."""
     if bandwidth is None:
         bandwidth = nrd_bandwidth(samples)
     z = (grid.xs[:, None] - samples[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
+    t = -0.5 * z * z
+    return np.where(t <= _EXP_FLOOR, 0.0, np.exp(t)).sum(axis=1) / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 @settings(max_examples=100, deadline=None)
