@@ -69,7 +69,8 @@ class RbfBias:
     def features(self, r):
         """Kernel activations exp(-(kappa*(r-b_j))^2), floored; also d V / d w_j."""
         r = np.asarray(r, dtype=float)
-        return floored_exp(self._exponent(r[..., None] - self.centers, self.kappa))
+        with np.errstate(over="ignore"):  # a huge |r - b_j| squares to inf, its term to 0.0
+            return floored_exp(self._exponent(r[..., None] - self.centers, self.kappa))
 
     def __call__(self, r):
         if isinstance(r, float) and math.isfinite(r):

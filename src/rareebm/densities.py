@@ -84,35 +84,26 @@ class Gev:
             return (edge, np.inf)
         return (-np.inf, edge)
 
-    def _t(self, r):
-        # t(r) = (1 + xi*z)**(-1/xi); exp(-z) in the Gumbel limit.
+    def _log_t(self, r):
+        # (log t(r), r inside the support), t(r) = (1 + xi*z)**(-1/xi) and exp(-z)
+        # in the Gumbel limit; log t is NaN outside the support, so a NaN r scores NaN.
         z = (np.asarray(r, dtype=float) - self.location) / self.scale
         if self._gumbel:
-            return np.exp(-z)
+            return -z, np.ones_like(z, dtype=bool)
         base = 1.0 + self.shape * z
-        with np.errstate(invalid="ignore"):
-            t = np.where(base > 0, np.power(np.maximum(base, 1e-300), -1.0 / self.shape), np.nan)
-        return t
+        inside = base > 0
+        return np.where(inside, -np.log(np.maximum(base, 1e-300)) / self.shape, np.nan), inside
 
     def pdf(self, r):
-        r = np.asarray(r, dtype=float)
-        z = (r - self.location) / self.scale
-        if self._gumbel:
-            logt = -z
-            inside = np.ones_like(z, dtype=bool)
-        else:
-            base = 1.0 + self.shape * z
-            inside = base > 0
-            logt = np.where(inside, -np.log(np.maximum(base, 1e-300)) / self.shape, 0.0)
-        t = np.exp(logt)
-        return np.where(inside, np.exp((self.shape + 1.0) * logt - t) / self.scale, 0.0)
+        logt, inside = self._log_t(r)
+        return np.where(inside, np.exp((self.shape + 1.0) * logt - np.exp(logt)) / self.scale, 0.0)
 
     def score(self, r):
         r = np.asarray(r, dtype=float)
         lo, hi = self.support()
         if np.any(r <= lo) or np.any(r >= hi):
             raise NumericError("score requested outside the density support")
-        t = self._t(r)
+        t = np.exp(self._log_t(r)[0])
         if self._gumbel:
             return (-1.0 + t) / self.scale
         return (t ** (1.0 + self.shape) - (self.shape + 1.0) * t**self.shape) / self.scale

@@ -178,6 +178,13 @@ def load_config(source) -> dict:
     for t in thresholds:
         if mcfg["kind"] == "ebm" and not (g["lo"] <= t <= g["hi"]):
             raise ConfigurationError(f"grid does not cover query threshold {t}")
+    span = g["hi"] - g["lo"]  # the trapezoids take dx = h, so h must divide it
+    if g["h"] <= 0 or (math.isfinite(span) and abs(math.remainder(span, g["h"])) > 1e-9 * abs(span)):
+        raise ConfigurationError("method.grid.h must be positive and divide method.grid.hi - method.grid.lo")
+    # The grid update's KDE and the KSD stopping test each need two samples per iteration.
+    needs_two = mcfg["form"] == "grid" or mcfg["stopping"]["enabled"]
+    if mcfg["kind"] == "ebm" and needs_two and mcfg["chain"]["n_keep"] < 2:
+        raise ConfigurationError("method.chain.n_keep must be >= 2 with a grid bias or KSD stopping")
     try:
         _proposal_choice(mcfg["proposal"], build_problem(cfg["problem"]), mcfg["kind"] == "subset")
         # Every method and bias form, and every problem through its spec, so keys the run does not

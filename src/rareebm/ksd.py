@@ -162,10 +162,12 @@ def wild_bootstrap_test(
     an exceedance whatever its rounding. The null (samples follow p_ref) is
     rejected when the p-value falls below the test size 1 - alpha. The Stein
     kernel matrix is built only once the samples pass the degenerate-sample
-    check.
+    check. The signs take the rows of rng.random((n_boot, n)) in order, in
+    blocks of a multiple of 8 replicates (for speed) with about
+    _BOOT_BLOCK_BYTES of signs each; the last block holds the remainder.
     """
     samples = np.asarray(samples, dtype=float)
-    n = len(samples)
+    n, n_boot = len(samples), test_cfg.n_boot
     if n < 2:
         raise NumericError("wild bootstrap needs at least 2 samples")
     if float(np.var(samples)) < 1e-12:
@@ -175,24 +177,11 @@ def wild_bootstrap_test(
     if not np.any(kmat):
         raise EstimationError("degenerate Stein kernel matrix")
     s_obs = float(kmat.sum()) / n**2
-    exceed = sum(int(np.count_nonzero((s >= s_obs) | unflipped))
-                 for s, unflipped in _replicate_statistics(kmat, test_cfg, rng))
-    p_value = (1.0 + exceed) / (test_cfg.n_boot + 1.0)
-    return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)
-
-
-def _replicate_statistics(kmat: np.ndarray, test_cfg: KsdTestConfig, rng: np.random.Generator):
-    """Each block's replicate statistics and which of its sign chains never flip, in bounded memory.
-
-    The signs take the rows of rng.random((n_boot, n)) in order, in blocks of
-    a multiple of 8 replicates (for speed) with about _BOOT_BLOCK_BYTES of
-    signs each; the last block holds the remainder.
-    """
-    n, n_boot = len(kmat), test_cfg.n_boot
     rows = min(n_boot, max(1, _BOOT_BLOCK_BYTES // (64 * n)) * 8)
     w_buf = np.empty((rows, n))
     flip_buf = np.empty((rows, n), dtype=bool)
     kw_buf = np.empty((rows, n))
+    exceed = 0
     for start in range(0, n_boot, rows):
         m = min(rows, n_boot - start)
         w, flips, kw = w_buf[:m], flip_buf[:m], kw_buf[:m]
@@ -207,4 +196,6 @@ def _replicate_statistics(kmat: np.ndarray, test_cfg: KsdTestConfig, rng: np.ran
         w *= -2.0
         w += 1.0
         np.matmul(w, kmat, out=kw)
-        yield np.vecdot(kw, w) / n**2, unflipped
+        exceed += int(np.count_nonzero((np.vecdot(kw, w) / n**2 >= s_obs) | unflipped))
+    p_value = (1.0 + exceed) / (n_boot + 1.0)
+    return KsdTestResult(reject=p_value < (1.0 - test_cfg.alpha), p_value=p_value, statistic=s_obs)

@@ -184,7 +184,8 @@ def mh_run(
             raise NumericError("initial point has non-finite base density")
         r, theta = problem.qoi(rows).item(), rows[0]
         budget = 1
-    # Both biases return a float for a float r.
+    # Both biases return a float for a float r, finite for a finite r, so a
+    # proposal whose base value is -inf or NaN is rejected whatever its bias.
     log_value = log_base if bias is None else log_base - bias(r)
 
     d = problem.dim
@@ -196,7 +197,6 @@ def mh_run(
     states = max(1, min(most_states, math.isqrt(_TREE_CELLS // d)))
     depth = max(1, min(most_steps, _TREE_CELLS // (states * d)))
     log_base_at, qoi = proposal.log_base, problem.qoi
-    isfinite = math.isfinite
 
     kept_theta = np.empty((cfg.n_keep, d))
     kept_r = np.empty(cfg.n_keep)
@@ -235,7 +235,7 @@ def mh_run(
                     value_prop, r_prop = base_prop, step_idx
                 else:
                     r_prop = qoi(rows[row : row + 1]).item()
-                    value_prop = base_prop - bias(r_prop) if isfinite(base_prop) else base_prop
+                    value_prop = base_prop - bias(r_prop)
                 log_ratio = value_prop - log_value
                 accepted = log_ratio >= 0.0 or log_u < log_ratio
                 if accepted:

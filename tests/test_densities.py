@@ -78,6 +78,13 @@ class TestGev:
         with pytest.raises(NumericError):
             g.score(-3.0)
 
+    @pytest.mark.parametrize("shape", [0.0, 0.2, -0.2])
+    def test_nan_scores_nan(self, shape):
+        # pdf and score share one transform; its value off the support must not
+        # turn a NaN sample into a finite score
+        g = Gev(location=0.0, scale=1.0, shape=shape)
+        assert np.isnan(g.score(np.array([np.nan, 0.5]))[0])
+
     def test_sampling_matches_cdf(self, rng):
         g = Gev(location=0.0, scale=7.0, shape=0.0)
         x = g.sample(rng, 20_000)

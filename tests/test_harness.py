@@ -3,12 +3,14 @@ import csv
 import dataclasses
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from conftest import counting_base, counting_qoi
 from rareebm import harness
+from rareebm.densities import GridFunction
 from rareebm.errors import ConfigurationError
 from rareebm.harness import (
     TABLE_ROWS,
@@ -18,6 +20,7 @@ from rareebm.harness import (
     run_replicate,
     summarize_estimates,
 )
+from test_cli import _assert_rejected_at_load
 
 
 def tiny_ebm_config(**overrides):
@@ -320,6 +323,49 @@ def test_table_registry_configs_load():
             ) as path:
                 cfg = load_config(path)
             assert cfg["runs"]["n_runs"] == 50
+
+
+# Each of these once loaded, and then every replicate failed (the grid update's
+# KDE and the KSD stopping test need two samples per iteration): exit 3, not 2.
+@pytest.mark.parametrize(
+    "config, stopping",
+    [("contamination_ebm_rbf", True), ("contamination_ebm_nonpar", True), ("four_branch_ebm", True),
+     ("contamination_ebm_nonpar", False)],
+)
+def test_n_keep_1_is_rejected_where_two_samples_are_needed(config, stopping, tmp_path):
+    cfg = json.loads((resources.files("rareebm") / "configs" / f"{config}.json").read_text())
+    cfg["method"]["chain"]["n_keep"] = 1
+    cfg["method"]["stopping"]["enabled"] = stopping
+    with pytest.raises(ConfigurationError, match="n_keep"):
+        load_config(cfg)
+    _assert_rejected_at_load(tmp_path, cfg)
+
+
+def test_n_keep_1_loads_and_runs_where_one_sample_suffices():
+    # load_config builds both bias forms to validate: the grid form it builds does not count
+    rbf = tiny_ebm_config()
+    rbf["method"].update(form="rbf", chain={"burn_in": 5, "thin": 2, "n_keep": 1})
+    out = run_replicate(load_config(rbf), 0)
+    assert out.error is None and out.stop_reason == "max_steps"
+    subset = tiny_ebm_config()
+    subset["method"].update(kind="subset", chain={"burn_in": 5, "thin": 2, "n_keep": 1})
+    assert load_config(subset)["method"]["kind"] == "subset"
+
+
+def test_grid_spacing_that_does_not_divide_the_span_is_rejected(tmp_path):
+    # h = 0.3 on [-80, 120] once built 668 nodes 0.29985 apart, while every
+    # trapezoid and tail_probability's node snap took dx = 0.3
+    cfg = tiny_ebm_config()
+    cfg["method"]["grid"] = {"lo": -80.0, "hi": 120.0, "h": 0.3}
+    with pytest.raises(ConfigurationError, match="divide"):
+        load_config(cfg)
+    _assert_rejected_at_load(tmp_path, cfg)
+    assert len(GridFunction.zeros(-80.0, 120.0, 0.3).values) == 668  # the grid class itself still takes it
+    cfg["method"]["grid"]["h"] = 0.0  # once a ZeroDivisionError traceback
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        load_config(cfg)
+    cfg["method"]["grid"]["h"] = 0.25
+    assert load_config(cfg)["method"]["grid"]["h"] == 0.25
 
 
 def _shipped_replicate(name, out_dir, traces):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -187,22 +188,27 @@ def test_rbf_bias_is_the_floored_exponential_bit_for_bit(n_centers, span, kappa,
     side=st.sampled_from([-1.0, 1.0]),
     ulps=st.integers(-3, 3),
 )
+@example(centers=np.array([0.0]), kappa=1.0, x=1e200, i=0, side=1.0, ulps=0)
 def test_rbf_terms_are_zero_or_normal(centers, kappa, x, i, side, ulps):
-    """No RBF term, in features or in the float read, lies strictly between 0 and DBL_MIN."""
+    """No RBF term, in features or in the float read, lies strictly between 0 and DBL_MIN.
+
+    A huge r's exponent is -inf and its term 0.0, and no overflow warning reaches the caller.
+    """
     centers = np.sort(centers)
     near = float(centers[i % len(centers)] + side * _RBF_CUTOFF / kappa)  # a term's exponent near the floor
     for _ in range(abs(ulps)):
         near = math.nextafter(near, math.copysign(math.inf, ulps))
     bias = RbfBias(np.zeros(len(centers)), centers, kappa)
     tiny = np.finfo(float).tiny
-    for r in (x, near):
-        with np.errstate(over="ignore"):  # a huge r's exponent is -inf, its term 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in (x, near):
             feats = bias.features(r)
-        assert not np.any((feats > 0.0) & (feats < tiny)), r
-        if math.isfinite(r):
-            # the float read with unit weights returns one of its terms exactly
-            read = np.array([bias.with_params(unit)(r) for unit in np.eye(len(centers))])
-            assert not np.any((read > 0.0) & (read < tiny)), r
+            assert not np.any((feats > 0.0) & (feats < tiny)), r
+            if math.isfinite(r):
+                # the float read with unit weights returns one of its terms exactly
+                read = np.array([bias.with_params(unit)(r) for unit in np.eye(len(centers))])
+                assert not np.any((read > 0.0) & (read < tiny)), r
 
 
 @settings(max_examples=50, deadline=None)
