@@ -89,7 +89,8 @@ class Gev:
         # in the Gumbel limit; log t is NaN outside the support, so a NaN r scores NaN.
         z = (np.asarray(r, dtype=float) - self.location) / self.scale
         if self._gumbel:
-            return -z, np.ones_like(z, dtype=bool)
+            inside = z > -np.inf
+            return np.where(inside, -z, np.nan), inside
         base = 1.0 + self.shape * z
         inside = base > 0
         return np.where(inside, -np.log(np.maximum(base, 1e-300)) / self.shape, np.nan), inside

@@ -539,6 +539,9 @@ def _fmt(x) -> str:
 
 def write_outputs(out_dir: Path, cfg: dict, outcomes: list[RunOutcome], stats: RunStatistics) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    for old in out_dir.glob("trace_*.csv"):  # an earlier run's traces would outlive its runs.csv
+        if old.is_file() and old.stem[len("trace_") :].isdecimal():
+            old.unlink()
     with open(out_dir / "runs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         thresholds = cfg["query"]["thresholds"]

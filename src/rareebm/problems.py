@@ -58,7 +58,6 @@ class TargetProblem:
     log_likelihood: Optional[Callable[[np.ndarray], np.ndarray]] = None
     from_standard_normal: Optional[Callable[[np.ndarray], np.ndarray]] = None  # u -> theta
     to_standard_normal: Optional[Callable[[np.ndarray], np.ndarray]] = None  # theta -> u
-    sample_prior: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     init_point: Optional[np.ndarray] = None
 
     def log_target(self, theta: np.ndarray) -> np.ndarray:
@@ -200,7 +199,6 @@ def four_branch_problem() -> TargetProblem:
         dim=2,
         log_prior=log_prior,
         qoi=lambda th: -four_branch(th),
-        sample_prior=lambda g, n: g.standard_normal((n, 2)),
         from_standard_normal=lambda u: np.asarray(u, dtype=float),
         to_standard_normal=lambda th: np.asarray(th, dtype=float),
         init_point=np.zeros(2),

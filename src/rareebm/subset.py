@@ -2,16 +2,16 @@
 
 The rare event {R >= T} is factored into nested conditional events over a
 threshold ladder. Levels are either chosen adaptively (survival-fraction
-quantiles) or fixed on a logarithmic ladder. In the inversion setting, the
-initial population is drawn from the posterior with a heavily thinned MH
-chain; every forward evaluation, including that initialization, counts
-toward the budget.
+quantiles) or fixed on a logarithmic ladder. In the traditional setting the
+initial population is the standard-normal transform of the generator's
+normals; in the inversion setting it is drawn from the posterior with a
+heavily thinned MH chain, whose evaluations count toward the budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -65,7 +65,7 @@ class SubsetConfig:
 class LevelDiagnostic:
     threshold: float
     survival_fraction: float
-    acceptance: float  # conditional-kernel acceptance (nan for level 0)
+    acceptance: float  # conditional-kernel acceptance (nan for the last level)
 
 
 @dataclass
@@ -75,29 +75,6 @@ class SubsetResult:
     budget: int
     level_failure: bool = False
     extra_rows: int = 0  # base-density rows scored beyond the budget by the initial chain
-
-
-def _initial_population(
-    problem: TargetProblem,
-    cfg: SubsetConfig,
-    rng: np.random.Generator,
-    proposal: Optional[RandomWalk],
-) -> tuple[np.ndarray, int, int]:
-    n = cfg.n_samples
-    if problem.log_likelihood is None:
-        if problem.sample_prior is None:
-            raise ConfigurationError("traditional setting requires a prior sampler")
-        return problem.sample_prior(rng, n), n, 0
-    if proposal is None:
-        raise ConfigurationError("posterior initialization requires a tuned random walk")
-    res = mh_run(
-        problem,
-        proposal,
-        problem.init_point,
-        ChainConfig(burn_in=cfg.posterior_burn_in, thin=cfg.posterior_thin, n_keep=n),
-        rng,
-    )
-    return res.thetas, res.budget, res.extra_rows
 
 
 def _propagate(
@@ -140,37 +117,37 @@ def subset_estimate(
     their steps from the spread of each level's seeds.
     """
     final_t = query.threshold
-    thetas, budget, extra = _initial_population(problem, cfg, rng, proposal)
+    n = cfg.n_samples
+    if problem.log_likelihood is None:
+        if problem.from_standard_normal is None:
+            raise ConfigurationError("traditional setting requires a standard-normal transform")
+        thetas, budget, extra = problem.from_standard_normal(rng.standard_normal((n, problem.dim))), n, 0
+    else:
+        if proposal is None:
+            raise ConfigurationError("posterior initialization requires a tuned random walk")
+        chain_cfg = ChainConfig(burn_in=cfg.posterior_burn_in, thin=cfg.posterior_thin, n_keep=n)
+        chain = mh_run(problem, proposal, problem.init_point, chain_cfg, rng)
+        thetas, budget, extra = chain.thetas, chain.budget, chain.extra_rows
+    # The posterior chain scored these rows already; this second scoring is outside the budget.
     rs = problem.qoi(thetas)
     log_targets = problem.log_target(thetas)
-    n = cfg.n_samples
 
     levels: list[LevelDiagnostic] = []
     p_hat = 1.0
-    adaptive = isinstance(cfg.schedule, AdaptiveSchedule)
-    ladder = None if adaptive else cfg.schedule.thresholds(final_t)
+    ladder = None if isinstance(cfg.schedule, AdaptiveSchedule) else cfg.schedule.thresholds(final_t)
 
-    k = 0
-    while True:
-        if adaptive:
-            t_k = min(float(np.quantile(rs, 1.0 - cfg.schedule.survival_fraction)), final_t)
+    for k in range(_MAX_LEVELS + 1):
+        if ladder is None:
+            t_k = float(np.quantile(rs, 1.0 - cfg.schedule.survival_fraction))
         else:
             t_k = float(ladder[k]) if k < len(ladder) else final_t
-        last = t_k >= final_t
-        if last:
+        if t_k >= final_t:
             t_k = final_t
-        frac = float(np.mean(rs >= t_k))
-        levels.append(LevelDiagnostic(threshold=t_k, survival_fraction=frac, acceptance=float("nan")))
+        idx = np.flatnonzero(rs >= t_k)
+        frac = len(idx) / n
         p_hat *= frac
-        if frac == 0.0:
-            return SubsetResult(0.0, levels, budget, True, extra)
-        if last:
-            return SubsetResult(p_hat, levels, budget, False, extra)
-        k += 1
-        if k > _MAX_LEVELS:
-            return SubsetResult(p_hat, levels, budget, True, extra)
-        surv = rs >= t_k
-        idx = np.flatnonzero(surv)
+        if frac == 0.0 or t_k == final_t or k == _MAX_LEVELS:
+            break
         seeds = rng.choice(idx, size=n, replace=True)
         # Conditional-kernel proposal scales follow the spread of the current
         # seed population (shrinking as the levels narrow).
@@ -179,4 +156,6 @@ def subset_estimate(
             problem, thetas[seeds], log_targets[seeds], rs[seeds], t_k, level_steps, cfg.mh_steps_per_seed, rng
         )
         budget += cost
-        levels[-1] = LevelDiagnostic(threshold=t_k, survival_fraction=frac, acceptance=acc)
+        levels.append(LevelDiagnostic(threshold=t_k, survival_fraction=frac, acceptance=acc))
+    levels.append(LevelDiagnostic(threshold=t_k, survival_fraction=frac, acceptance=float("nan")))
+    return SubsetResult(p_hat, levels, budget, frac == 0.0 or t_k < final_t, extra)

@@ -17,7 +17,6 @@ def scalar_normal_problem() -> TargetProblem:
         dim=1,
         log_prior=lambda th: -0.5 * np.atleast_2d(th)[:, 0] ** 2,
         qoi=lambda th: np.atleast_2d(th)[:, 0],
-        sample_prior=lambda g, n: g.standard_normal((n, 1)),
         from_standard_normal=lambda u: np.asarray(u, dtype=float),
         to_standard_normal=lambda th: np.asarray(th, dtype=float),
         init_point=np.zeros(1),

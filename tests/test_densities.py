@@ -85,6 +85,14 @@ class TestGev:
         g = Gev(location=0.0, scale=1.0, shape=shape)
         assert np.isnan(g.score(np.array([np.nan, 0.5]))[0])
 
+    @pytest.mark.parametrize("shape", [0.0, 1e-9, -1e-9])
+    def test_gumbel_pdf_is_zero_at_nan_and_infinity(self, shape):
+        # the Gumbel branch treats NaN and -inf as off the support, as every
+        # other shape treats NaN: density 0.0 and no floating-point warning
+        g = Gev(location=0.0, scale=1.0, shape=shape)
+        with np.errstate(all="raise"):
+            assert g.pdf(np.array([np.nan, -np.inf, np.inf])).tolist() == [0.0, 0.0, 0.0]
+
     def test_sampling_matches_cdf(self, rng):
         g = Gev(location=0.0, scale=7.0, shape=0.0)
         x = g.sample(rng, 20_000)

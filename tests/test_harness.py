@@ -197,6 +197,27 @@ class TestRunExperiment:
         got = summary["statistics"]["thresholds"][0]["mean"]
         assert got == pytest.approx(stats.per_threshold[0].mean, rel=1e-12)
 
+    def test_a_rerun_leaves_no_trace_of_an_earlier_run(self, tmp_path):
+        def run(out, n_runs, traces):
+            cfg = tiny_ebm_config()
+            cfg["runs"]["n_runs"] = n_runs
+            cfg["output"] = {"dir": str(out), "traces": traces}
+            run_experiment(cfg)
+
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run(reused, 3, True)
+        assert (reused / "trace_2.csv").exists()
+        for name in ("trace_notes.csv", "trace_1.csv.bak"):  # not a trace file the harness writes
+            (reused / name).write_text("kept\n")
+        for out in (reused, fresh):
+            run(out, 1, True)
+        traces = sorted(p.name for p in reused.glob("trace_*.csv"))
+        assert traces == ["trace_0.csv", "trace_notes.csv"] and (reused / "trace_1.csv.bak").exists()
+        for name in ("runs.csv", "trace_0.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        run(reused, 1, False)
+        assert sorted(p.name for p in reused.glob("trace_*.csv")) == ["trace_notes.csv"]
+
     def test_jobs_write_the_same_bytes(self, tmp_path):
         # --jobs runs the replicates in worker processes; each draws from its own seed
         for jobs in (1, 2):

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import counting_qoi, scalar_normal_problem
+from rareebm import subset
 from rareebm.errors import ConfigurationError
 from rareebm.mcmc import RandomWalk
 from rareebm.problems import RareEventQuery, TargetProblem, contamination_problem
@@ -47,7 +51,7 @@ class TestTraditionalSetting:
         problem = scalar_normal_problem()
         cfg = SubsetConfig(n_samples=1000, mh_steps_per_seed=3)
         res = subset_estimate(problem, RareEventQuery(0.5), cfg, np.random.default_rng(12))
-        draws = scalar_normal_problem().sample_prior(np.random.default_rng(12), 1000)
+        draws = np.random.default_rng(12).standard_normal((1000, 1))
         expected = float(np.mean(draws[:, 0] >= 0.5))
         assert res.p_hat == pytest.approx(expected)
         assert len(res.levels) == 1
@@ -83,7 +87,7 @@ class TestTraditionalSetting:
             dim=1,
             log_prior=lambda th: -0.5 * np.atleast_2d(th)[:, 0] ** 2,
             qoi=lambda th: np.tanh(np.atleast_2d(th)[:, 0]),
-            sample_prior=lambda g, n: g.standard_normal((n, 1)),
+            from_standard_normal=lambda u: np.asarray(u, dtype=float),
             init_point=np.zeros(1),
         )
         cfg = SubsetConfig(n_samples=200, mh_steps_per_seed=3,
@@ -91,14 +95,34 @@ class TestTraditionalSetting:
         res = subset_estimate(problem, RareEventQuery(2.0), cfg, np.random.default_rng(2))
         assert res.level_failure and res.p_hat == 0.0
 
-    def test_requires_prior_sampler(self, rng):
+    def test_requires_a_standard_normal_transform(self, rng):
         problem = TargetProblem(
             dim=1,
             log_prior=lambda th: -0.5 * np.atleast_2d(th)[:, 0] ** 2,
             qoi=lambda th: np.atleast_2d(th)[:, 0],
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="standard-normal transform"):
             subset_estimate(problem, RareEventQuery(1.0), SubsetConfig(), rng)
+
+    def test_prior_draws_are_the_transformed_normals(self):
+        # a single level: the estimate is the crude Monte Carlo fraction of
+        # the transform of the generator's normals, here u -> 2u + 1
+        problem = dataclasses.replace(scalar_normal_problem(), from_standard_normal=lambda u: 2.0 * u + 1.0)
+        cfg = SubsetConfig(n_samples=1000, mh_steps_per_seed=3)
+        res = subset_estimate(problem, RareEventQuery(1.5), cfg, np.random.default_rng(12))
+        draws = 2.0 * np.random.default_rng(12).standard_normal((1000, 1)) + 1.0
+        assert len(res.levels) == 1 and res.budget == 1000
+        assert res.p_hat == float(np.mean(draws[:, 0] >= 1.5))
+
+    def test_level_cap_ends_the_run_as_a_level_failure(self, monkeypatch):
+        monkeypatch.setattr(subset, "_MAX_LEVELS", 2)
+        cfg = SubsetConfig(n_samples=200, mh_steps_per_seed=2)
+        res = subset_estimate(scalar_normal_problem(), RareEventQuery(6.0), cfg, np.random.default_rng(4))
+        assert len(res.levels) == 3 and res.level_failure
+        assert res.levels[-1].threshold < 6.0 and res.levels[-1].survival_fraction > 0.0
+        assert [math.isnan(lv.acceptance) for lv in res.levels] == [False, False, True]
+        assert res.budget == 200 + 2 * 200 * 2
+        assert res.p_hat == math.prod(lv.survival_fraction for lv in res.levels)
 
 
 class TestPosteriorSetting:
