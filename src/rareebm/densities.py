@@ -1,9 +1,10 @@
 """Analytic 1-D reference densities and kernel density estimation on grids.
 
-The reference densities (Gaussian and generalized extreme value) expose the
-pdf, the score (derivative of the log-pdf), the support and sampling. Grid
-functions carry tabulated 1-D functions on an equispaced grid and provide
-trapezoid integration.
+The reference densities are the paper's two: a Gaussian and a Gumbel (the
+generalized extreme value density with shape 0). Both expose the pdf, the
+score (derivative of the log-pdf) and sampling, and both are positive on the
+whole real line. Grid functions carry tabulated 1-D functions on an
+equispaced grid and provide trapezoid integration.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from rareebm.errors import EstimationError, NumericError
-
-# Shape parameters below this magnitude are treated as the Gumbel limit to
-# avoid catastrophic cancellation in (1 + xi*z)**(-1/xi).
-_GUMBEL_SHAPE_TOL = 1e-8
+from rareebm.errors import EstimationError
 
 # log(DBL_MIN): both Gaussian kernels set a term whose exponent is at or below
 # it to 0.0 unevaluated (floored_exp), as numpy's exp leaves its SIMD loop for
@@ -52,71 +49,35 @@ class Gaussian:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.sd, size=n)
 
-    def support(self) -> tuple[float, float]:
-        return (-np.inf, np.inf)
-
 
 @dataclass(frozen=True)
 class Gev:
-    """Generalized extreme value density GEV(location, scale, shape).
-
-    shape == 0 is the Gumbel (type I) case. For shape > 0 the support is
-    r >= location - scale/shape; for shape < 0 it is bounded above.
-    """
+    """Gumbel density: the generalized extreme value density GEV(location, scale, 0)."""
 
     location: float
     scale: float
-    shape: float = 0.0
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    @property
-    def _gumbel(self) -> bool:
-        return abs(self.shape) < _GUMBEL_SHAPE_TOL
-
-    def support(self) -> tuple[float, float]:
-        if self._gumbel:
-            return (-np.inf, np.inf)
-        edge = self.location - self.scale / self.shape
-        if self.shape > 0:
-            return (edge, np.inf)
-        return (-np.inf, edge)
-
     def _log_t(self, r):
-        # (log t(r), r inside the support), t(r) = (1 + xi*z)**(-1/xi) and exp(-z)
-        # in the Gumbel limit; log t is NaN outside the support, so a NaN r scores NaN.
+        # (log t(r), r > -inf), t(r) = exp(-z); log t is NaN at NaN and -inf, so
+        # the pdf reads 0.0 there with no warning and a NaN r scores NaN.
         z = (np.asarray(r, dtype=float) - self.location) / self.scale
-        if self._gumbel:
-            inside = z > -np.inf
-            return np.where(inside, -z, np.nan), inside
-        base = 1.0 + self.shape * z
-        inside = base > 0
-        return np.where(inside, -np.log(np.maximum(base, 1e-300)) / self.shape, np.nan), inside
+        inside = z > -np.inf
+        return np.where(inside, -z, np.nan), inside
 
     def pdf(self, r):
         logt, inside = self._log_t(r)
-        return np.where(inside, np.exp((self.shape + 1.0) * logt - np.exp(logt)) / self.scale, 0.0)
+        return np.where(inside, np.exp(logt - np.exp(logt)) / self.scale, 0.0)
 
     def score(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.support()
-        if np.any(r <= lo) or np.any(r >= hi):
-            raise NumericError("score requested outside the density support")
         t = np.exp(self._log_t(r)[0])
-        if self._gumbel:
-            return (-1.0 + t) / self.scale
-        return (t ** (1.0 + self.shape) - (self.shape + 1.0) * t**self.shape) / self.scale
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._gumbel:
-            return self.location - self.scale * np.log(-np.log(u))
-        return self.location + self.scale * (np.power(-np.log(u), -self.shape) - 1.0) / self.shape
+        return (-1.0 + t) / self.scale
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.quantile(rng.uniform(size=n))
+        return self.location - self.scale * np.log(-np.log(rng.uniform(size=n)))
 
 
 ReferenceDensity = Gaussian | Gev

@@ -15,7 +15,8 @@ from rareebm.bias import BiasPotential
 from rareebm.densities import GridFunction, ReferenceDensity
 from rareebm.errors import EstimationError, NumericError
 
-# p_ref below this is treated as zero support; the bias is unidentifiable there.
+# p_ref at or below this, where its pdf has underflowed far in a tail, reads as
+# zero density: the bias is unidentifiable there.
 SUPPORT_EPS = 1e-300
 # A readout whose last EDGE_NODES grid nodes hold at least EDGE_SHARE of the
 # tail probability being read is flagged: the mass beyond hi, which the grid

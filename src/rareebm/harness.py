@@ -240,9 +240,11 @@ def build_problem(pcfg: dict) -> ProblemBundle:
 
 
 def _build_p_ref(d: dict):
+    if d["shape"] != 0.0:  # the paper's GEV references are all Gumbel
+        raise ValueError(f"method.p_ref.shape must be 0, got {d['shape']!r}")
     if d["kind"] == "gaussian":
         return Gaussian(mean=d["mean"], sd=d["sd"])
-    return Gev(location=d["loc"], scale=d["scale"], shape=d["shape"])
+    return Gev(location=d["loc"], scale=d["scale"])
 
 
 def _build_schedule(d: dict):

@@ -27,8 +27,8 @@ from rareebm.problems import RareEventQuery, TargetProblem
 
 _ABORT_BIAS_MAGNITUDE = 1e6
 # A KSD stop needs at least this share of distinct kept samples: the wild
-# bootstrap assumes a mixing chain, and one that sticks at a value next to a
-# bounded reference support can pass it (the score grows without bound there).
+# bootstrap assumes a mixing chain, and a random-walk segment that sticks for
+# most of its steps can still pass it against a Gaussian or Gumbel reference.
 _MIN_DISTINCT_SHARE = 0.5
 
 
@@ -120,7 +120,7 @@ class TrainConfig:
 class TrainRecord:
     iteration: int
     kl: Optional[float]
-    ksd: Optional[float]  # NaN when a sample lies outside p_ref's support or only one is kept
+    ksd: Optional[float]  # NaN when a kept sample is not finite or only one is kept
     p_hat: Optional[float]  # kl, ksd and p_hat are None with TrainConfig.diagnostics off
     budget: int  # cumulative forward evaluations
     acceptance: float
@@ -198,7 +198,6 @@ def train_bias_potential(
     is_grid = isinstance(bias, GridBias)
     p_ref_grid = grid.with_values(np.asarray(p_ref.pdf(grid.xs), dtype=float))
     kernel = SteinKernelConfig()
-    support_lo, support_hi = p_ref.support()
     sgdm = SgdmState(np.zeros(len(bias.params)), 0, cfg.momentum_weight)
     trace: list[TrainRecord] = []
     recent: list[BiasPotential] = []
@@ -248,23 +247,23 @@ def train_bias_potential(
             if not math.isfinite(max_mag) or max_mag > _ABORT_BIAS_MAGNITUDE:
                 raise TrainingError("bias potential diverged during training")
 
-            # The score, and with it the Stein kernel, is undefined outside a
-            # bounded support: the trace records a NaN KSD and the stopping test
-            # counts the iteration as a rejection. A diagnostic that cannot be
-            # computed (no KDE, a single kept sample) is recorded as missing.
-            inside = not (np.any(s_samples <= support_lo) or np.any(s_samples >= support_hi))
+            # The Stein kernel is undefined at an infinite sample: the trace records
+            # a NaN KSD and the stopping test counts a rejection (a NaN sample has
+            # already raised in the update). A diagnostic that cannot be computed
+            # (no KDE, a single kept sample) is recorded as missing.
+            finite = np.all(np.isfinite(s_samples))
             p_hat = kl = ksd_val = None
             if cfg.diagnostics:
                 p_hat = tail_probability(free_energy_from_bias(bias, p_ref, grid), query.threshold)
                 if track_kl and p_v_kde is not None:
                     kl = estimate_kl(p_ref_grid, p_v_kde)
                 ksd_val = math.nan
-                if inside and len(s_samples) > 1:
+                if finite and len(s_samples) > 1:
                     ksd_val = ksd_statistic(stein_kernel_matrix(s_samples, s_samples, p_ref, kernel))
             record = TrainRecord(it, kl, ksd_val, p_hat, budget, acceptance=res.acceptance_rate)
             trace.append(record)
 
-            if inside and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
+            if finite and cfg.stopping is not None and it + 1 >= cfg.stopping.min_steps:
                 passed = not wild_bootstrap_test(s_samples, p_ref, kernel, cfg.stopping.test, rng).reject
                 # checked after the test has drawn its signs, so no random stream depends on it
                 if passed and len(np.unique(s_samples)) >= _MIN_DISTINCT_SHARE * len(s_samples):

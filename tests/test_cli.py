@@ -109,6 +109,11 @@ def test_traces_rejects_subset(tmp_path):
         ("method.kind", "mcmc"),
         ("problem.name", "contamnation"),
         ("method.p_ref.kind", "gumbel"),
+        # the reference GEV is the Gumbel: shape 0 only, as a number
+        ("method.p_ref.shape", 0.5),
+        ("method.p_ref.shape", -0.2),
+        ("method.p_ref.shape", 1e-9),
+        ("method.p_ref.shape", False),
         ("method.learning_rate.kind", "cosine"),
         ("method.subset.schedule.kind", "geometric"),
         ("method.proposal.beta", 1.5),

@@ -5,7 +5,7 @@ from scipy import stats
 from rareebm.bias import GridBias
 from rareebm.densities import Gaussian, Gev, GridFunction
 from rareebm.errors import NumericError
-from rareebm.estimator import free_energy_from_bias, tail_probability, truncated_tail
+from rareebm.estimator import SUPPORT_EPS, free_energy_from_bias, tail_probability, truncated_tail
 
 
 @pytest.fixture
@@ -56,13 +56,16 @@ class TestFreeEnergy:
         for t in (0.0, 1.0, 1.959964, 3.0):
             assert tail_probability(est, t) == pytest.approx(stats.norm.sf(t), abs=2e-4)
 
-    def test_support_mask_for_bounded_reference(self):
-        grid = GridFunction.zeros(-5.0, 5.0, 0.01)
-        p_ref = Gev(location=0.0, scale=1.0, shape=0.5)  # support r >= -2
-        est = free_energy_from_bias(GridBias.zero(-5, 5, 0.01), p_ref, grid)
-        # zero outside the support; inside it, positive wherever p_ref has not underflowed
-        assert np.all(est.density.values[grid.xs < -2.0 - 1e-9] == 0.0)
-        assert np.all(est.density.values[grid.xs >= -1.0] > 0.0)
+    def test_underflow_mask_for_a_gumbel_reference(self):
+        # load_capacity's Gev(0, 7) underflows to 0.0 below about r = -46 on the
+        # default grid: the readout is 0.0 there and positive everywhere else
+        grid = GridFunction.zeros(-80.0, 120.0, 0.1)
+        p_ref = Gev(location=0.0, scale=7.0)
+        est = free_energy_from_bias(GridBias.zero(-80.0, 120.0, 0.1), p_ref, grid)
+        underflow = p_ref.pdf(grid.xs) <= SUPPORT_EPS
+        assert underflow[0] and not underflow[-1]
+        assert np.all(est.density.values[underflow] == 0.0)
+        assert np.all(est.density.values[~underflow] > 0.0)
 
     def test_gauge_invariance(self, grid):
         p_ref = Gaussian(0.0, 2.0)

@@ -299,23 +299,6 @@ class TestRunExperiment:
         cfg["runs"]["base_seed"] = 1000
         assert run_experiment(cfg).n_tail_warnings == 0
 
-    @pytest.mark.parametrize("stopping", [False, True])
-    def test_bounded_reference_support_completes(self, stopping):
-        # GEV shape 0.5 has support r >= -2, and the chain starts at r = -3:
-        # the KSD of those iterations is undefined, not an error
-        cfg = tiny_ebm_config()
-        cfg["method"]["p_ref"] = {"kind": "gev", "loc": 0.0, "scale": 1.0, "shape": 0.5}
-        cfg["method"]["max_steps"] = 8
-        cfg["method"]["stopping"] = {"enabled": stopping, "min_steps": 2}
-        cfg["output"] = {"traces": True}
-        cfg = load_config(cfg)
-        for i in range(2):
-            out = run_replicate(cfg, i)
-            assert out.error is None and out.stop_reason == "max_steps"
-            assert 0.0 <= out.p_hats[0] <= 1.0
-            ksd = [rec.ksd for rec in out.trace]
-            assert len(ksd) == 8 and math.isnan(ksd[0]) and any(math.isfinite(k) for k in ksd)
-
     def test_oracle_only_at_threshold_zero(self):
         cfg = tiny_ebm_config(problem={"name": "load_capacity", "n_components": 10})
         cfg["query"]["thresholds"] = [0.0, 5.0]

@@ -244,19 +244,13 @@ def _stein_kernel_reference(r, p_ref, bandwidth):
     samples=arrays(float, st.integers(1, 60), elements=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
                                                                  st.floats(-20.0, 20.0))),
     bandwidth=st.one_of(st.none(), st.floats(1e-3, 30.0)),
-    shape=st.one_of(st.none(), st.sampled_from([-0.3, 0.0, 0.3])),
+    gumbel=st.booleans(),
     location=st.floats(-5.0, 5.0),
     scale=st.floats(0.2, 5.0),
 )
-@example(samples=np.array([1.0, 1.0, 1.0]), bandwidth=None, shape=None, location=0.0, scale=1.0)  # all tied: the floor
-def test_stein_kernel_matrix_is_the_one_expression_bit_for_bit(samples, bandwidth, shape, location, scale):
-    if shape is None:
-        p_ref = Gaussian(location, scale)
-    else:
-        p_ref = Gev(location, scale, shape)
-        # samples inside the support, where the score is finite; the clip makes ties at its edge
-        lo, hi = p_ref.support()
-        samples = np.clip(samples, lo + 1e-3 * scale, hi - 1e-3 * scale)
+@example(samples=np.array([1.0, 1.0, 1.0]), bandwidth=None, gumbel=False, location=0.0, scale=1.0)  # all tied: the floor
+def test_stein_kernel_matrix_is_the_one_expression_bit_for_bit(samples, bandwidth, gumbel, location, scale):
+    p_ref = Gev(location, scale) if gumbel else Gaussian(location, scale)
     got = stein_kernel_matrix(samples, samples, p_ref, SteinKernelConfig(bandwidth=bandwidth))
     assert _bits(got) == _bits(_stein_kernel_reference(samples, p_ref, bandwidth))
 
@@ -923,7 +917,7 @@ def test_base_density_rows_are_the_budget_plus_the_extra_rows(burn_in, thin, n_k
 @settings(max_examples=50, deadline=None)
 @given(
     values=arrays(float, 161, elements=st.floats(-30.0, 30.0)),
-    ref=st.sampled_from([Gaussian(0.0, 1.5), Gaussian(3.0, 0.4), Gev(0.0, 1.0, 0.0), Gev(-1.0, 1.0, 0.5)]),
+    ref=st.sampled_from([Gaussian(0.0, 1.5), Gaussian(3.0, 0.4), Gev(0.0, 1.0), Gev(-1.0, 1.0)]),
 )
 def test_readout_density_integrates_to_one(values, ref):
     grid = GridFunction.zeros(-4.0, 4.0, 0.05)
