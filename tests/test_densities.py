@@ -41,30 +41,48 @@ class TestGaussian:
             Gaussian(0.0, 0.0)
 
 
+# the paper's Gumbel references: Table 2's GEV(2, 3, 0) and Table 3's GEV(0, 7, 0)
+GUMBELS = [(1.0, 2.0), (2.0, 3.0), (0.0, 7.0)]
+
+
 class TestGev:
-    def test_pdf_integrates_to_one(self):
-        g = Gev(location=1.0, scale=2.0)
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_pdf_integrates_to_one(self, location, scale):
+        g = Gev(location=location, scale=scale)
         val, _ = integrate.quad(lambda r: float(g.pdf(r)), -60, 200, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
 
-    def test_matches_scipy(self):
-        g = Gev(location=1.0, scale=2.0)
-        xs = np.linspace(-2, 8, 41)
-        np.testing.assert_allclose(g.pdf(xs), stats.gumbel_r.pdf(xs, 1.0, 2.0), atol=1e-10)
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_matches_scipy(self, location, scale):
+        g = Gev(location=location, scale=scale)
+        xs = location + scale * np.linspace(-1.5, 3.5, 41)
+        np.testing.assert_allclose(g.pdf(xs), stats.gumbel_r.pdf(xs, location, scale), atol=1e-10)
 
-    def test_score_is_logpdf_derivative(self):
-        g = Gev(location=0.5, scale=2.0)
-        xs = np.linspace(-1.5, 6.0, 15)
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_score_is_logpdf_derivative(self, location, scale):
+        g = Gev(location=location, scale=scale)
+        xs = location + scale * np.linspace(-1.0, 2.75, 15)
         eps = 1e-6
-        logpdf = stats.gumbel_r(0.5, 2.0).logpdf
+        logpdf = stats.gumbel_r(location, scale).logpdf
         num = (logpdf(xs + eps) - logpdf(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(g.score(xs), num, atol=1e-6)
 
-    def test_nan_scores_nan(self):
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_score_tends_to_minus_one_over_scale_in_the_right_tail(self, location, scale):
+        # the right tail is exponential with rate 1/scale; -inf scores NaN, as NaN
+        # does, and neither raises a floating-point warning
+        g = Gev(location=location, scale=scale)
+        with np.errstate(all="raise"):
+            got = g.score(np.array([location + 40.0 * scale, np.inf, -np.inf]))
+        assert got[0] == pytest.approx(-1.0 / scale, rel=1e-15) and got[1] == -1.0 / scale
+        assert np.isnan(got[2])
+
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_nan_scores_nan(self, location, scale):
         # pdf and score share one transform; its value at NaN must not turn a
         # NaN sample into a finite score
-        g = Gev(location=0.0, scale=1.0)
-        assert np.isnan(g.score(np.array([np.nan, 0.5]))[0])
+        g = Gev(location=location, scale=scale)
+        assert np.isnan(g.score(np.array([np.nan, location + 0.5 * scale]))[0])
 
     def test_gumbel_pdf_is_zero_at_nan_and_infinity(self):
         # NaN and -inf are off the transform: density 0.0 and no floating-point warning
@@ -72,11 +90,12 @@ class TestGev:
         with np.errstate(all="raise"):
             assert g.pdf(np.array([np.nan, -np.inf, np.inf])).tolist() == [0.0, 0.0, 0.0]
 
-    def test_samples_are_the_quantiles_of_uniform_draws(self):
-        g = Gev(location=0.0, scale=1.5)
+    @pytest.mark.parametrize("location, scale", GUMBELS)
+    def test_samples_are_the_quantiles_of_uniform_draws(self, location, scale):
+        g = Gev(location=location, scale=scale)
         us = np.random.default_rng(3).uniform(size=30)
         x = g.sample(np.random.default_rng(3), 30)
-        np.testing.assert_allclose(stats.gumbel_r.cdf(x, 0.0, 1.5), us, atol=1e-10)
+        np.testing.assert_allclose(stats.gumbel_r.cdf(x, location, scale), us, atol=1e-10)
 
     def test_sampling_matches_cdf(self, rng):
         g = Gev(location=0.0, scale=7.0)
